@@ -45,7 +45,7 @@ def main() -> int:
             vbar = gs.limiting_fiedler_vector(g, p, r.lambda_f)
             eps = gs.scale_optimal_distance(r.v_f, vbar)
             adj = gs.semi_normalized_adjacency(g, p, r.lambda_f)
-            residual = float(np.abs(adj.matrix @ vbar.entries - vbar.entries).max())
+            residual = float(np.abs(adj.matrix @ vbar - vbar).max())
             writer.writerow(
                 [k, idx, g.n, gs.min_follower_degree(g, p),
                  f"{r.lambda_f:.6f}", f"{eps:.6f}", f"{residual:.6f}"]

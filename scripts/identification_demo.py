@@ -42,7 +42,8 @@ def main() -> int:
         values={l: tuple(rng.uniform(10.0, 50.0, args.dim)) for l in p.leaders},
     )
     x0 = rng.normal(size=(g.n, args.dim))
-    estimate, diag = gs.run_pipeline(g, p, u, x0)
+    spect = gs.fiedler_pair(gs.grounded_laplacian(g, p))
+    estimate, diag = gs.run_pipeline(spect, u, x0)
 
     print(
         f"measured at t={diag.measurement_time:.2f} "

@@ -18,11 +18,9 @@ from .dynamics import (
     steady_state,
 )
 from .graphs import (
-    AugmentedSystem,
     Graph,
     GroundedLaplacian,
     Partition,
-    augmented_system,
     build_graph,
     follower_degree,
     grounded_laplacian,
@@ -34,7 +32,6 @@ from .graphs import (
 )
 from .identifiability import (
     IdentifiabilityReport,
-    LimitingVector,
     check_identifiability,
     limiting_fiedler_vector,
     limiting_leader_entry,
@@ -74,14 +71,12 @@ from .tempo import (
 
 __all__ = [
     "__version__",
-    "AugmentedSystem",
     "ExternalInput",
     "Graph",
     "GraphSequence",
     "GroundedLaplacian",
     "IdentifiabilityReport",
     "LeaderEstimate",
-    "LimitingVector",
     "Partition",
     "PerronReport",
     "PipelineDiagnostics",
@@ -92,7 +87,6 @@ __all__ = [
     "SpectralResult",
     "TempoVector",
     "Trajectory",
-    "augmented_system",
     "build_graph",
     "check_identifiability",
     "choose_measurement_time",

@@ -6,7 +6,7 @@ Subcommands:
   check     leader-identifiability certificate (exit 0 iff separated)
   simulate  integrate the closed loop and write a trajectory CSV
   identify  full velocity-based leader identification pipeline
-  oracle    cross-check the spectral path against the data-driven path
+  oracle    cross-check LAPACK against the Jacobi reference and the data path
   pipeline  batch check + identify over many graphs (optionally parallel)
 
 Exit codes: 0 success/certified, 1 domain failure (conditions unmet,
@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--outdir", default=".")
     p.set_defaults(func=_cmd_identify)
 
-    p = sub.add_parser("oracle", help="cross-check spectral vs data-driven paths")
+    p = sub.add_parser("oracle", help="cross-check LAPACK vs Jacobi and data-driven paths")
     p.add_argument("graph", help="graph JSON")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -228,8 +228,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         record_every=args.record_every,
         integrator=args.integrator,
     )
-    x0 = _resolve_x0(args, g, p, u)
-    traj = simulate(g, p, u, x0, cfg)
+    spect = fiedler_pair(grounded_laplacian(g, p))
+    x0 = steady_state(spect, u) if args.x0 == "steady" else _random_x0(g, u, args.seed)
+    traj = simulate(spect, u, x0, cfg)
     outdir = _ensure_outdir(args.outdir)
     stem = Path(args.graph).stem
     out = outdir / f"{stem}.traj.csv"
@@ -249,9 +250,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_identify(args: argparse.Namespace) -> int:
     g, p = io.load_graph(args.graph)
     u = _resolve_inputs(args, p)
-    x0 = _resolve_x0(args, g, p, u)
-
     spect = fiedler_pair(grounded_laplacian(g, p))
+    x0 = steady_state(spect, u) if args.x0 == "steady" else _random_x0(g, u, args.seed)
+
     t_meas, _ = choose_measurement_time(spect.spectrum)
     t_final = args.t_final if args.t_final is not None else t_meas
     if args.dt is not None:
@@ -267,7 +268,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         record_every=1,
         integrator=args.integrator,
     )
-    estimate, diag = run_pipeline(g, p, u, x0, cfg)
+    estimate, diag = run_pipeline(spect, u, x0, cfg)
 
     outdir = _ensure_outdir(args.outdir)
     stem = Path(args.graph).stem
@@ -323,7 +324,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     u = _generated_inputs(p, args.dim, args.seed)
     x0 = _random_x0(g, u, args.seed)
-    pipeline_est, diag = run_pipeline(g, p, u, x0)
+    pipeline_est, diag = run_pipeline(result, u, x0)
     angle = diag.angle_to_true
     sets_equal = true_set == pipeline_est.leader_set
 
@@ -400,7 +401,7 @@ def _pipeline_worker(job: tuple[str, dict, int, int]) -> dict:
         row["epsilon_d"] = report.epsilon_d
         u = _generated_inputs(p, dim, seed)
         x0 = _random_x0(g, u, seed)
-        estimate, diag = run_pipeline(g, p, u, x0)
+        estimate, diag = run_pipeline(fiedler_pair(grounded_laplacian(g, p)), u, x0)
         row["leaders"] = sorted(i + 1 for i in estimate.leader_set)
         row["recovered"] = diag.recovered
         row["angle_to_true"] = diag.angle_to_true
@@ -439,14 +440,6 @@ def _resolve_inputs(args: argparse.Namespace, p: Partition) -> ExternalInput:
     if args.inputs:
         return io.load_inputs(args.inputs)
     return _generated_inputs(p, args.dim, args.seed)
-
-
-def _resolve_x0(
-    args: argparse.Namespace, g: Graph, p: Partition, u: ExternalInput
-) -> np.ndarray:
-    if args.x0 == "steady":
-        return steady_state(g, p, u)
-    return _random_x0(g, u, args.seed)
 
 
 if __name__ == "__main__":

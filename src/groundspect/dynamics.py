@@ -3,7 +3,7 @@
 The state equation is xdot = -L11 x + f where L11 is the grounded Laplacian
 and f injects each leader's constant input into its own row. The same matrix
 acts on every spatial coordinate, so a d-dimensional run is d independent
-scalar systems sharing one decomposition.
+scalar systems sharing one decomposition, the SpectralResult passed in.
 
 Velocities are always evaluated from the right-hand side, never finite
 differenced. The exact integrator writes them in modal form
@@ -19,16 +19,15 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NonFiniteStateError,
     NonGenericInitialConditionWarning,
-    SingularSystemError,
     TimeOutOfRangeError,
     UnstableStepError,
 )
-from .graphs import Graph, Partition, grounded_laplacian
+from .graphs import Partition
+from .spectral import SpectralResult
 
 # Classical RK4 stability limit on the real axis: dt * lambda < 2.785.
 RK4_STABILITY = 2.785
@@ -143,22 +142,14 @@ class Trajectory:
         return float(amp[1:].max() / amp[0])
 
 
-def steady_state(g: Graph, p: Partition, u: ExternalInput) -> np.ndarray:
-    """Equilibrium x* solving L11 x* = f via a positive-definite solve."""
-    l11 = grounded_laplacian(g, p).matrix
-    forcing = _forcing(g, p, u)
-    try:
-        factor = scipy.linalg.cho_factor(l11)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "grounded Laplacian is not positive definite (disconnected graph?)"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, forcing)
+def steady_state(spect: SpectralResult, u: ExternalInput) -> np.ndarray:
+    """Equilibrium x* solving L11 x* = f in the eigenbasis: x* = Q((Q^T f) / w)."""
+    q = spect.vectors
+    return q @ ((q.T @ _forcing(spect.grounded.partition, u)) / spect.spectrum[:, None])
 
 
 def simulate(
-    g: Graph,
-    p: Partition,
+    spect: SpectralResult,
     u: ExternalInput,
     x0: np.ndarray,
     cfg: SimConfig,
@@ -172,13 +163,12 @@ def simulate(
     if u.dimension != cfg.dimension:
         raise ValueError(f"input dimension {u.dimension} != config dimension {cfg.dimension}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (g.n, cfg.dimension):
-        raise ValueError(f"x0 has shape {x0.shape}, expected {(g.n, cfg.dimension)}")
+    n = spect.v_f.size
+    if x0.shape != (n, cfg.dimension):
+        raise ValueError(f"x0 has shape {x0.shape}, expected {(n, cfg.dimension)}")
 
-    l11 = grounded_laplacian(g, p).matrix
-    forcing = _forcing(g, p, u)
-    xstar = steady_state(g, p, u)
-    w, q = np.linalg.eigh(l11)
+    w, q = spect.spectrum, spect.vectors
+    xstar = steady_state(spect, u)
     _warn_if_nongeneric(q[:, 0], x0 - xstar)
 
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
@@ -207,8 +197,10 @@ def simulate(
                 f"rk4 dt={cfg.dt:.6g} >= stability limit {limit:.6g} "
                 f"(lambda_max={w[-1]:.6g})"
             )
+        l11 = spect.grounded.matrix
+        forcing = _forcing(spect.grounded.partition, u)
         rhs = lambda x: forcing - l11 @ x
-        states = np.empty((len(record), g.n, cfg.dimension))
+        states = np.empty((len(record), n, cfg.dimension))
         record_set = {k: idx for idx, k in enumerate(record)}
         x = x0.copy()
         if 0 in record_set:
@@ -265,10 +257,10 @@ def choose_measurement_time(
     return float(t), float(np.exp(-gap * t))
 
 
-def _forcing(g: Graph, p: Partition, u: ExternalInput) -> np.ndarray:
+def _forcing(p: Partition, u: ExternalInput) -> np.ndarray:
     """-L12 y as an (n, d) array: +u_k in the k-th leader's row."""
     umat = u.as_matrix(p)
-    forcing = np.zeros((g.n, u.dimension))
+    forcing = np.zeros((p.n, u.dimension))
     for k, leader in enumerate(p.leaders):
         forcing[leader] = umat[k]
     return forcing

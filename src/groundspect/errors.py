@@ -80,10 +80,6 @@ class TimeOutOfRangeError(GroundspectError):
     """Requested measurement time lies outside the recorded horizon."""
 
 
-class SingularSystemError(GroundspectError):
-    """The grounded Laplacian is not positive definite (disconnected graph)."""
-
-
 # -- tempo estimation -----------------------------------------------------------
 
 class ZeroReferenceVelocityError(GroundspectError):

@@ -147,29 +147,6 @@ def grounded_laplacian(g: Graph, p: Partition) -> GroundedLaplacian:
     return GroundedLaplacian(matrix=m, partition=p)
 
 
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """State matrix pair (L11, L12) of the closed loop with constant inputs.
-
-    Column k of L12 holds -1 in the row of the k-th leader (sorted order)
-    and zeros elsewhere.
-    """
-
-    l11: np.ndarray
-    l12: np.ndarray
-    leader_order: tuple[int, ...]
-
-
-def augmented_system(g: Graph, p: Partition) -> AugmentedSystem:
-    _check_partition(g, p)
-    l11 = grounded_laplacian(g, p).matrix
-    l12 = np.zeros((g.n, len(p.leaders)))
-    for k, leader in enumerate(p.leaders):
-        l12[leader, k] = -1.0
-    l12.flags.writeable = False
-    return AugmentedSystem(l11=l11, l12=l12, leader_order=p.leaders)
-
-
 def follower_degree(g: Graph, p: Partition, j: NodeId) -> int:
     """Number of follower neighbors of node j."""
     return sum(1 for k in g.neighbors[j] if not p.is_leader(k))

@@ -37,20 +37,14 @@ def limiting_leader_entry(degree: int, lambda_f: float) -> float:
     return degree / (degree + 1.0 - lambda_f)
 
 
-@dataclass(frozen=True)
-class LimitingVector:
-    """Densification limit of the Fiedler vector: 1 on followers,
+def limiting_fiedler_vector(g: Graph, p: Partition, lambda_f: float) -> np.ndarray:
+    """Densification limit of the Fiedler vector, read-only: 1 on followers,
     degree-dependent entries on leaders."""
-
-    entries: np.ndarray
-
-
-def limiting_fiedler_vector(g: Graph, p: Partition, lambda_f: float) -> LimitingVector:
     entries = np.ones(g.n)
     for j in p.leaders:
         entries[j] = limiting_leader_entry(g.degree(j), lambda_f)
     entries.flags.writeable = False
-    return LimitingVector(entries=entries)
+    return entries
 
 
 def separation_margin(
@@ -67,31 +61,28 @@ def separation_margin(
     return 1.0 - max(phis) - _max_min_pair_distance(np.asarray(phis), exclude_self)
 
 
-def scale_optimal_distance(v_f: np.ndarray, target: LimitingVector | np.ndarray) -> float:
+def scale_optimal_distance(v_f: np.ndarray, target: np.ndarray) -> float:
     """Euclidean distance from the best positive rescaling of v_f to target.
 
     The optimal scale has the closed form <target, v>/<v, v>; the distance
     is therefore invariant to any positive rescaling of v_f.
     """
-    t = target.entries if isinstance(target, LimitingVector) else np.asarray(target, dtype=float)
+    t = np.asarray(target, dtype=float)
     v = np.asarray(v_f, dtype=float)
     c = float(np.dot(t, v) / np.dot(v, v))
     return float(np.linalg.norm(t - c * v))
 
 
-def separation_quantities(
-    v_f: np.ndarray, p: Partition, exclude_self: bool = False
-) -> tuple[float, float]:
-    """(min follower entry - max leader entry, max-over-leaders nearest-leader distance).
+def separation_quantities(v_f: np.ndarray, p: Partition) -> tuple[float, float]:
+    """(min follower entry - max leader entry, max-over-leaders nearest-other-leader distance).
 
-    With exclude_self=False the inner minimum includes k = j and the second
-    quantity is identically 0.
+    The second quantity is 0 when only one leader exists.
     """
     v = np.asarray(v_f, dtype=float)
     leaders = v[list(p.leaders)]
     followers = v[list(p.followers)]
     lhs = float(followers.min() - leaders.max())
-    rhs = _max_min_pair_distance(leaders, exclude_self)
+    rhs = _max_min_pair_distance(leaders, exclude_self=True)
     return lhs, rhs
 
 
@@ -107,12 +98,12 @@ def _max_min_pair_distance(values: np.ndarray, exclude_self: bool) -> float:
 class IdentifiabilityReport:
     """All certificate inputs plus the combined verdict.
 
-    ``epsilon_d`` and ``separation_rhs`` follow the self-inclusive reading of
-    the inner minimum (second term always 0); the ``*_nearest`` fields carry
-    the k != j variant so both readings are inspectable. ``separated`` is the
-    combined certificate: all four conditions hold and the follower/leader
-    gap in the computed Fiedler vector exceeds the within-leader spread
-    (nearest reading, the stronger of the two).
+    ``epsilon_d`` follows the self-inclusive reading of the inner minimum
+    (second term always 0) and ``epsilon_d_nearest`` the k != j reading, so
+    both are inspectable. ``separated`` is the combined certificate: all four
+    conditions hold and the follower/leader gap in the computed Fiedler
+    vector (``separation_lhs``) exceeds the within-leader spread
+    (``separation_rhs_nearest``, nearest-other-leader reading).
     """
 
     connected: bool
@@ -124,9 +115,7 @@ class IdentifiabilityReport:
     condition_iii_holds: bool  # epsilon_d > 0
     condition_iv_holds: bool  # epsilon < epsilon_d / 4
     separation_lhs: float
-    separation_rhs: float
     separation_rhs_nearest: float
-    conclusion_holds: bool  # separation_lhs > separation_rhs
     separated: bool
     min_follower_degree: int
 
@@ -141,9 +130,7 @@ class IdentifiabilityReport:
             "condition_iii_holds": self.condition_iii_holds,
             "condition_iv_holds": self.condition_iv_holds,
             "separation_lhs": self.separation_lhs,
-            "separation_rhs": self.separation_rhs,
             "separation_rhs_nearest": self.separation_rhs_nearest,
-            "conclusion_holds": self.conclusion_holds,
             "separated": self.separated,
             "min_follower_degree": self.min_follower_degree,
         }
@@ -165,14 +152,11 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
 
     eps_d = separation_margin(g, p, lam)
     eps_d_nearest = separation_margin(g, p, lam, exclude_self=True)
-    vbar = limiting_fiedler_vector(g, p, lam)
-    eps = scale_optimal_distance(result.v_f, vbar)
-    lhs, rhs = separation_quantities(result.v_f, p)
-    _, rhs_nearest = separation_quantities(result.v_f, p, exclude_self=True)
+    eps = scale_optimal_distance(result.v_f, limiting_fiedler_vector(g, p, lam))
+    lhs, rhs_nearest = separation_quantities(result.v_f, p)
 
     condition_iii = eps_d > 0.0
     condition_iv = eps < eps_d / 4.0
-    conclusion = lhs > rhs
     separated = (
         connected
         and nonadjacent
@@ -190,9 +174,7 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
         condition_iii_holds=condition_iii,
         condition_iv_holds=condition_iv,
         separation_lhs=lhs,
-        separation_rhs=rhs,
         separation_rhs_nearest=rhs_nearest,
-        conclusion_holds=conclusion,
         separated=separated,
         min_follower_degree=min_follower_degree(g, p),
     )

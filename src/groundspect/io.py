@@ -3,7 +3,8 @@
 Node labels are 1-based in every file to match the reporting convention;
 the conversion to the 0-based internal indices happens here and only here.
 All writers are deterministic (sorted keys, fixed float formatting), so a
-rerun with the same resolved config reproduces files byte for byte.
+rerun with the same resolved config reproduces files byte for byte within
+one numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -220,6 +221,7 @@ def write_manifest(
         {
             "subcommand": subcommand,
             "tool_version": __version__,
+            "numpy_version": np.__version__,
             "rng_seed": rng_seed,
             "config": config,
             "inputs": inputs,

@@ -1,17 +1,24 @@
-"""Dense symmetric eigensolver and grounded-Laplacian spectral analysis.
+"""Grounded-Laplacian spectral analysis, and a reference eigensolver.
 
-The eigensolver is a cyclic Jacobi rotation scheme: every sweep visits all
-index pairs once, organized round-robin so each round rotates a set of
-disjoint pairs. Rotations within a round commute, so they compose into a
-single orthogonal update applied with two matrix products. Convergence is
-quadratic once the off-diagonal mass is small; the sweep cap is a hard
-failure, not a silent degradation.
+Every command path decomposes with LAPACK on one BLAS thread: at the dense n
+of a few hundred used here a second thread only adds synchronisation.
+``eig_symmetric`` is an independent cyclic Jacobi solver, the reference that
+the ``oracle`` command and the tests compare LAPACK against. Every sweep
+visits all index pairs once, organized round-robin so each round rotates a
+set of disjoint pairs. Rotations within a round commute, so they compose
+into a single orthogonal update applied with two matrix products.
+Convergence is quadratic once the off-diagonal mass is small; the sweep cap
+is a hard failure, not a silent degradation.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +35,47 @@ from .graphs import Graph, GroundedLaplacian, Partition
 _OFF_DIAG_TOL = 1e-14
 # Mixed-sign tolerance for the positive orientation of the Fiedler vector.
 _SIGN_TOL = 1e-9
+# Thread-count C symbols: the prefixed OpenBLAS builds that numpy's and other
+# binary wheels bundle (64- and 32-bit integers), and a system OpenBLAS.
+_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        handles = [ctypes.CDLL(lib) for lib in libs]
+    except OSError:  # no /proc (not Linux), or a library that cannot be opened
+        return []
+    return [
+        (getattr(handle, name.format("get")), getattr(handle, name.format("set")))
+        for handle in handles
+        for name in _THREAD_SYMBOLS
+        if hasattr(handle, name.format("get"))
+    ]
+
+
+# Looked up once: reading the process map costs more than a small decomposition;
+# numpy has mapped the OpenBLAS its LAPACK runs on by the time it is imported.
+_OPENBLAS = _openblas_thread_controls()
+_OPENBLAS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with OpenBLAS on one thread; restore the caller's counts after."""
+    with _OPENBLAS_LOCK:
+        saved = [get() for get, _ in _OPENBLAS]
+        for _, set_threads in _OPENBLAS:
+            set_threads(1)
+        try:
+            yield
+        finally:
+            for (_, set_threads), count in zip(_OPENBLAS, saved):
+                set_threads(count)
 
 
 @lru_cache(maxsize=None)
@@ -109,11 +157,15 @@ def eig_symmetric(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Smallest eigenpair of a grounded Laplacian plus its full spectrum."""
+    """Eigendecomposition of a grounded Laplacian, read by every later layer:
+    the smallest eigenpair oriented positive, the ascending spectrum with its
+    orthonormal eigenvectors as columns, and the decomposed matrix."""
 
     lambda_f: float
     v_f: np.ndarray
     spectrum: np.ndarray
+    vectors: np.ndarray
+    grounded: GroundedLaplacian
 
     def to_json(self) -> dict:
         return {
@@ -124,7 +176,7 @@ class SpectralResult:
 
 
 def fiedler_pair(grounded: GroundedLaplacian) -> SpectralResult:
-    """Smallest eigenpair of the grounded Laplacian, oriented all-positive.
+    """Decompose the grounded Laplacian; orient its smallest eigenpair all-positive.
 
     The eigenvector is normalized to unit Euclidean norm and sign-flipped so
     its largest-magnitude entry is positive. Raises FiedlerOutOfRangeError
@@ -132,7 +184,8 @@ def fiedler_pair(grounded: GroundedLaplacian) -> SpectralResult:
     disconnected graph — and SignIndefiniteError when entries of both signs
     survive orientation, the symptom of eigenvalue multiplicity.
     """
-    w, vecs = eig_symmetric(grounded.matrix)
+    with _one_blas_thread():
+        w, vecs = np.linalg.eigh(grounded.matrix)
     lam = float(w[0])
     v = vecs[:, 0].copy()
     if v[np.abs(v).argmax()] < 0.0:
@@ -147,9 +200,9 @@ def fiedler_pair(grounded: GroundedLaplacian) -> SpectralResult:
             f"Fiedler vector has mixed signs (min entry {v.min():.3e})"
         )
     v /= np.linalg.norm(v)
-    v.flags.writeable = False
-    w.flags.writeable = False
-    return SpectralResult(lambda_f=lam, v_f=v, spectrum=w)
+    for array in (v, w, vecs):
+        array.flags.writeable = False
+    return SpectralResult(lambda_f=lam, v_f=v, spectrum=w, vectors=vecs, grounded=grounded)
 
 
 @dataclass(frozen=True)
@@ -202,13 +255,14 @@ def verify_perron(adj: SemiNormalizedAdjacency, v_f: np.ndarray) -> PerronReport
     """Measure how far the scaled adjacency is from (rho, v) = (1, v_F).
 
     The spectrum is taken from the symmetric similarity transform
-    D^{1/2} A_hat D^{-1/2}, which shares eigenvalues with A_hat and keeps the
-    computation inside the symmetric solver. The report only carries numbers;
+    D^{1/2} A_hat D^{-1/2}, which shares eigenvalues with A_hat and lets a
+    symmetric eigenvalue solver run. The report only carries numbers;
     thresholds belong to the caller.
     """
     root = np.sqrt(adj.scaling)
     sym = adj.matrix * (root[:, None] / root[None, :])
-    w, _ = eig_symmetric(sym)
+    with _one_blas_thread():
+        w = np.linalg.eigvalsh(sym)
     rho = float(w[-1])
     gap = float(w[-1] - w[-2]) if w.size >= 2 else float("inf")
     image = adj.matrix @ v_f

@@ -26,8 +26,7 @@ from .errors import (
     DegenerateEstimateError,
     ZeroReferenceVelocityError,
 )
-from .graphs import Graph, Partition, grounded_laplacian
-from .spectral import fiedler_pair
+from .spectral import SpectralResult
 
 _ZERO_GUARD = 1e-300
 _DEGENERATE_TOL = 1e-12
@@ -162,19 +161,20 @@ class PipelineDiagnostics:
 
 
 def run_pipeline(
-    g: Graph,
-    p_true: Partition,
+    spect: SpectralResult,
     u: ExternalInput,
     x0: np.ndarray,
     cfg: SimConfig | None = None,
 ) -> tuple[LeaderEstimate, PipelineDiagnostics]:
     """Simulate, measure at a dominance-certified time, estimate, identify.
 
-    With cfg=None an exact-integrator config is derived whose horizon ends at
-    the certified measurement time; an explicit cfg caps the measurement at
-    its own t_final (any dominance degradation shows up in the diagnostics).
+    spect is the decomposition of the true grounded Laplacian; its partition
+    feeds only the diagnostics. With cfg=None an exact-integrator config is
+    derived whose horizon ends at the certified measurement time; an explicit
+    cfg caps the measurement at its own t_final (any dominance degradation
+    shows up in the diagnostics).
     """
-    spect = fiedler_pair(grounded_laplacian(g, p_true))
+    p_true = spect.grounded.partition
     t_meas, predicted = choose_measurement_time(spect.spectrum)
     if cfg is None:
         cfg = SimConfig(
@@ -189,7 +189,7 @@ def run_pipeline(
         gap = spect.spectrum[1] - spect.spectrum[0]
         predicted = float(np.exp(-gap * t_meas))
 
-    traj = simulate(g, p_true, u, x0, cfg)
+    traj = simulate(spect, u, x0, cfg)
     # the recorded grid can stop short of t_final when dt does not divide it
     idx = traj.nearest_index(min(t_meas, float(traj.times[-1])))
     snapped = float(traj.times[idx])

@@ -1,9 +1,12 @@
 """Shared fixtures: closed-form instances and the seeded random ensemble."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import groundspect as gs
+from groundspect import cli, spectral
 
 # The ensemble every ensemble-wide property runs on: 200 seeded random
 # connected graphs, n in [3, 40], 1 <= |leaders| <= n-1.
@@ -38,6 +41,30 @@ def dense12():
     """12-node instance: complete follower graph on 10 nodes plus two
     non-adjacent degree-2 leaders."""
     return gs.dense_follower_instance(10, (2, 2))
+
+
+@pytest.fixture()
+def decompositions(monkeypatch):
+    """Counts LAPACK ``eigh`` and Jacobi ``eig_symmetric`` calls made from here on."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    jacobi = counting("eig_symmetric", spectral.eig_symmetric)
+    for module in (spectral, cli):
+        monkeypatch.setattr(module, "eig_symmetric", jacobi)
+    return counts
+
+
+def decompose(g: gs.Graph, p: gs.Partition) -> gs.SpectralResult:
+    """The decomposition every dynamics and pipeline call reads."""
+    return gs.fiedler_pair(gs.grounded_laplacian(g, p))
 
 
 def certified_instances(count: int, seed: int) -> list[tuple[gs.Graph, gs.Partition]]:

@@ -11,7 +11,7 @@ import pytest
 
 import groundspect as gs
 
-from conftest import GOLDEN, K3_LAMBDA, P2_LAMBDA, certified_instances
+from conftest import GOLDEN, K3_LAMBDA, P2_LAMBDA, certified_instances, decompose
 
 # Frozen 10-agent estimate from a recorded 2-D identification run; the true
 # leader set is {2, 4, 8} in 1-based labels. The margin values recorded with
@@ -162,7 +162,7 @@ def test_criterion_6_end_to_end_identification():
             values={l: tuple(rng.uniform(10.0, 50.0, size=2)) for l in p.leaders},
         )
         x0 = rng.normal(size=(g.n, 2))
-        _, diag = gs.run_pipeline(g, p, u, x0)
+        _, diag = gs.run_pipeline(decompose(g, p), u, x0)
         recovered += diag.recovered
         worst_angle = max(worst_angle, diag.angle_to_true)
     elapsed = time.perf_counter() - t0
@@ -185,8 +185,9 @@ def test_criterion_7_integrator_cross_validation():
         )
         x0 = rng.normal(size=(g.n, 1))
         kw = dict(dimension=1, dt=1e-3, t_final=5.0, record_every=5000)
-        rk4 = gs.simulate(g, p, u, x0, gs.SimConfig(integrator="rk4", **kw))
-        exact = gs.simulate(g, p, u, x0, gs.SimConfig(integrator="exact", **kw))
+        spect = decompose(g, p)
+        rk4 = gs.simulate(spect, u, x0, gs.SimConfig(integrator="rk4", **kw))
+        exact = gs.simulate(spect, u, x0, gs.SimConfig(integrator="exact", **kw))
         worst = max(worst, float(np.abs(rk4.states[-1] - exact.states[-1]).max()))
     ok = worst <= 1e-8
     report(
@@ -207,7 +208,7 @@ def test_criterion_8_closed_form_anchors(p2, k3):
     spect = gs.fiedler_pair(gs.grounded_laplacian(g, p))
     t_meas, dominance = gs.choose_measurement_time(spect.spectrum)
     cfg = gs.SimConfig(dimension=1, dt=t_meas / 512, t_final=t_meas, integrator="exact")
-    traj = gs.simulate(g, p, u, np.zeros((2, 1)), cfg)
+    traj = gs.simulate(spect, u, np.zeros((2, 1)), cfg)
     tempo = gs.relative_tempo(gs.measure_velocities(traj, t_meas), 1, 0)
     ok_tempo = dominance <= 1e-6 and abs(tempo - GOLDEN) <= 1e-4
 

@@ -1,6 +1,10 @@
 """CLI subcommands: files written, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,7 +122,8 @@ class TestCheck:
     def test_single_leader_rhs_zero(self, tmp_path, k3_file):
         run("check", k3_file, "-o", tmp_path)
         payload = io.load_json(tmp_path / "k3.check.json")
-        assert payload["separation_rhs"] == 0.0
+        assert payload["separation_rhs_nearest"] == 0.0
+        assert "separation_rhs" not in payload
 
 
 class TestSimulate:
@@ -140,6 +145,12 @@ class TestSimulate:
         )
         _, states, _ = io.read_trajectory_csv(tmp_path / "k3.traj.csv")
         np.testing.assert_allclose(states[-1], 5.0, atol=1e-3)
+
+    def test_disconnected_graph_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "disc.json"
+        io.save_json(path, {"n": 4, "edges": [[1, 2], [3, 4]], "leaders": [1]})
+        assert run("simulate", path, "-o", tmp_path) == 1
+        assert "FiedlerOutOfRangeError" in capsys.readouterr().err
 
 
 class TestIdentify:
@@ -187,6 +198,18 @@ class TestOracle:
         assert float(line.split(":")[1].strip()) <= 1e-9
 
 
+class TestOneDecomposition:
+    """Each command decomposes once with LAPACK; only oracle runs Jacobi."""
+
+    def test_identify_decomposes_once(self, tmp_path, dense12_file, decompositions):
+        assert run("identify", dense12_file, "-o", tmp_path) == 0
+        assert decompositions == {"eigh": 1}
+
+    def test_oracle_compares_lapack_with_jacobi(self, dense12_file, decompositions, capsys):
+        assert run("oracle", dense12_file) == 0
+        assert decompositions == {"eigh": 1, "eig_symmetric": 1}
+
+
 class TestPipeline:
     def test_batch_over_sequence(self, tmp_path):
         cfg = gs.SequenceConfig(
@@ -223,6 +246,16 @@ class TestMisc:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert run("spectral", tmp_path / "nope.json") == 2
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(gs.__file__).resolve().parent.parent
+        code = "import sys, groundspect.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_gs_log_env(self, tmp_path, k3_file, monkeypatch, capsys):
         monkeypatch.setenv("GS_LOG", "debug")

@@ -6,10 +6,11 @@ import pytest
 import groundspect as gs
 from groundspect.errors import (
     NonGenericInitialConditionWarning,
-    SingularSystemError,
     TimeOutOfRangeError,
     UnstableStepError,
 )
+
+from conftest import decompose
 
 
 def one_d_input(p, value):
@@ -18,18 +19,18 @@ def one_d_input(p, value):
 
 class TestSteadyState:
     def test_p2_consensus_at_input(self, p2):
-        x = gs.steady_state(*p2, one_d_input(p2[1], 5.0))
+        x = gs.steady_state(decompose(*p2), one_d_input(p2[1], 5.0))
         np.testing.assert_allclose(x, [[5.0], [5.0]], atol=1e-12)
 
     def test_single_leader_any_graph_reaches_input(self):
         rng = np.random.default_rng(3)
         g, _ = gs.random_connected_graph(9, 1, rng)
         p = gs.make_partition(9, [4])
-        x = gs.steady_state(g, p, one_d_input(p, -2.5))
+        x = gs.steady_state(decompose(g, p), one_d_input(p, -2.5))
         np.testing.assert_allclose(x, np.full((9, 1), -2.5), atol=1e-10)
 
     def test_zero_input_zero_state(self, k3):
-        x = gs.steady_state(*k3, one_d_input(k3[1], 0.0))
+        x = gs.steady_state(decompose(*k3), one_d_input(k3[1], 0.0))
         np.testing.assert_allclose(x, 0.0, atol=1e-14)
 
     def test_residual(self, dense12):
@@ -37,23 +38,17 @@ class TestSteadyState:
         u = gs.ExternalInput(
             dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)}
         )
-        x = gs.steady_state(g, p, u)
+        x = gs.steady_state(decompose(g, p), u)
         l11 = gs.grounded_laplacian(g, p).matrix
         forcing = np.zeros((g.n, 2))
         forcing[0] = (40.0, 35.0)
         forcing[1] = (16.0, 45.0)
         assert np.abs(l11 @ x - forcing).max() < 1e-10
 
-    def test_disconnected_is_singular(self):
-        g = gs.build_graph(4, [(0, 1), (2, 3)])
-        p = gs.make_partition(4, [0])
-        with pytest.raises(SingularSystemError):
-            gs.steady_state(g, p, one_d_input(p, 1.0))
-
     def test_input_coverage_validated(self, k3):
         g, p = k3
         with pytest.raises(ValueError):
-            gs.steady_state(g, p, gs.ExternalInput(dimension=1, values={1: (1.0,)}))
+            gs.steady_state(decompose(g, p), gs.ExternalInput(dimension=1, values={1: (1.0,)}))
 
 
 class TestSimulate:
@@ -61,7 +56,7 @@ class TestSimulate:
         g, p = p2
         u = one_d_input(p, 5.0)
         cfg = gs.SimConfig(dimension=1, dt=0.01, t_final=40.0, integrator="exact")
-        traj = gs.simulate(g, p, u, np.zeros((2, 1)), cfg)
+        traj = gs.simulate(decompose(g, p), u, np.zeros((2, 1)), cfg)
         np.testing.assert_allclose(traj.states[-1], [[5.0], [5.0]], atol=1e-5)
         assert np.linalg.norm(traj.velocities[-1]) < np.linalg.norm(
             traj.velocities[0]
@@ -70,9 +65,10 @@ class TestSimulate:
     def test_equilibrium_start_has_zero_velocities(self, k3):
         g, p = k3
         u = one_d_input(p, 3.0)
-        xstar = gs.steady_state(g, p, u)
+        spect = decompose(g, p)
+        xstar = gs.steady_state(spect, u)
         cfg = gs.SimConfig(dimension=1, dt=0.01, t_final=1.0, integrator="exact")
-        traj = gs.simulate(g, p, u, xstar, cfg)
+        traj = gs.simulate(spect, u, xstar, cfg)
         assert np.abs(traj.velocities).max() == 0.0
 
     def test_rk4_matches_exact(self, k3):
@@ -81,8 +77,9 @@ class TestSimulate:
         u = one_d_input(p, 4.0)
         x0 = rng.normal(size=(3, 1))
         kw = dict(dimension=1, dt=1e-3, t_final=5.0, record_every=100)
-        tr = gs.simulate(g, p, u, x0, gs.SimConfig(integrator="rk4", **kw))
-        te = gs.simulate(g, p, u, x0, gs.SimConfig(integrator="exact", **kw))
+        spect = decompose(g, p)
+        tr = gs.simulate(spect, u, x0, gs.SimConfig(integrator="rk4", **kw))
+        te = gs.simulate(spect, u, x0, gs.SimConfig(integrator="exact", **kw))
         assert np.abs(tr.states - te.states).max() <= 1e-8
 
     def test_rk4_stability_guard(self, k3):
@@ -91,7 +88,7 @@ class TestSimulate:
         bad_dt = 1.01 * 2.785 / lam_max
         cfg = gs.SimConfig(dimension=1, dt=bad_dt, t_final=10 * bad_dt, integrator="rk4")
         with pytest.raises(UnstableStepError):
-            gs.simulate(g, p, one_d_input(p, 1.0), np.ones((3, 1)), cfg)
+            gs.simulate(decompose(g, p), one_d_input(p, 1.0), np.ones((3, 1)), cfg)
 
     def test_dimensions_decouple(self, dense12):
         g, p = dense12
@@ -99,13 +96,14 @@ class TestSimulate:
         u2 = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
         x0 = rng.normal(size=(g.n, 2))
         cfg2 = gs.SimConfig(dimension=2, dt=0.01, t_final=2.0, integrator="exact")
-        traj2 = gs.simulate(g, p, u2, x0, cfg2)
+        spect = decompose(g, p)
+        traj2 = gs.simulate(spect, u2, x0, cfg2)
         for dim in range(2):
             u1 = gs.ExternalInput(
                 dimension=1, values={l: (u2.values[l][dim],) for l in p.leaders}
             )
             cfg1 = gs.SimConfig(dimension=1, dt=0.01, t_final=2.0, integrator="exact")
-            traj1 = gs.simulate(g, p, u1, x0[:, dim : dim + 1], cfg1)
+            traj1 = gs.simulate(spect, u1, x0[:, dim : dim + 1], cfg1)
             np.testing.assert_allclose(
                 traj2.states[..., dim], traj1.states[..., 0], atol=1e-12
             )
@@ -113,13 +111,14 @@ class TestSimulate:
     def test_nongeneric_start_warns(self, k3):
         g, p = k3
         u = one_d_input(p, 2.0)
-        xstar = gs.steady_state(g, p, u)
+        spect = decompose(g, p)
+        xstar = gs.steady_state(spect, u)
         l11 = gs.grounded_laplacian(g, p).matrix
         _, q = np.linalg.eigh(l11)
         x0 = xstar + q[:, 1:2]  # second mode only: no slowest-mode component
         cfg = gs.SimConfig(dimension=1, dt=0.01, t_final=1.0, integrator="exact")
         with pytest.warns(NonGenericInitialConditionWarning):
-            gs.simulate(g, p, u, x0, cfg)
+            gs.simulate(spect, u, x0, cfg)
 
     def test_velocities_equal_rhs_evaluation(self, dense12):
         # modal velocity storage must agree with -L11 x + f at recorded times
@@ -128,7 +127,7 @@ class TestSimulate:
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
         x0 = rng.normal(size=(g.n, 2))
         cfg = gs.SimConfig(dimension=2, dt=0.01, t_final=3.0, integrator="exact")
-        traj = gs.simulate(g, p, u, x0, cfg)
+        traj = gs.simulate(decompose(g, p), u, x0, cfg)
         l11 = gs.grounded_laplacian(g, p).matrix
         forcing = np.zeros((g.n, 2))
         forcing[0] = (40.0, 35.0)
@@ -144,7 +143,7 @@ class TestSimulate:
         u = one_d_input(p, 3.0)
         x0 = rng.normal(size=(3, 1))
         cfg = gs.SimConfig(dimension=1, dt=0.05, t_final=4.0, integrator="exact")
-        traj = gs.simulate(g, p, u, x0, cfg)
+        traj = gs.simulate(decompose(g, p), u, x0, cfg)
         # the basis-free matrix function -L exp(-L t)(x0 - x*) is independent
         # of which orthonormal eigenbasis the integrator picked
         w, q = np.linalg.eigh(gs.grounded_laplacian(g, p).matrix)
@@ -161,7 +160,7 @@ class TestSimulate:
             u = one_d_input(p, float(rng.uniform(-5, 5)))
             x0 = rng.normal(size=(g.n, 1))
             cfg = gs.SimConfig(dimension=1, dt=0.02, t_final=3.0, integrator="exact")
-            traj = gs.simulate(g, p, u, x0, cfg)
+            traj = gs.simulate(decompose(g, p), u, x0, cfg)
             lam_f = traj.eigenvalues[0]
             lhs = np.linalg.norm(traj.states[-1] - traj.steady)
             rhs = np.exp(-lam_f * 3.0) * np.linalg.norm(x0 - traj.steady) + 1e-8
@@ -171,7 +170,7 @@ class TestSimulate:
         g, p = p2
         u = one_d_input(p, 5.0)
         cfg = gs.SimConfig(dimension=1, dt=0.01, t_final=12.0, integrator="exact")
-        traj = gs.simulate(g, p, u, np.zeros((2, 1)), cfg)
+        traj = gs.simulate(decompose(g, p), u, np.zeros((2, 1)), cfg)
         v_f = gs.fiedler_pair(gs.grounded_laplacian(g, p)).v_f
         angle_half = gs.vector_angle(traj.velocities[len(traj.times) // 2][:, 0], v_f)
         angle_full = gs.vector_angle(traj.velocities[-1][:, 0], v_f)
@@ -183,22 +182,23 @@ class TestMeasurement:
     def test_zero_at_equilibrium(self, k3):
         g, p = k3
         u = one_d_input(p, 1.0)
-        xstar = gs.steady_state(g, p, u)
+        spect = decompose(g, p)
+        xstar = gs.steady_state(spect, u)
         cfg = gs.SimConfig(dimension=1, dt=0.1, t_final=1.0, integrator="exact")
-        traj = gs.simulate(g, p, u, xstar, cfg)
+        traj = gs.simulate(spect, u, xstar, cfg)
         assert np.abs(gs.measure_velocities(traj, 0.0)).max() == 0.0
 
     def test_beyond_horizon_rejected(self, k3):
         g, p = k3
         cfg = gs.SimConfig(dimension=1, dt=0.1, t_final=1.0, integrator="exact")
-        traj = gs.simulate(g, p, one_d_input(p, 1.0), np.ones((3, 1)), cfg)
+        traj = gs.simulate(decompose(g, p), one_d_input(p, 1.0), np.ones((3, 1)), cfg)
         with pytest.raises(TimeOutOfRangeError):
             gs.measure_velocities(traj, 2.0)
 
     def test_nearest_snapping(self, k3):
         g, p = k3
         cfg = gs.SimConfig(dimension=1, dt=0.5, t_final=2.0, integrator="exact")
-        traj = gs.simulate(g, p, one_d_input(p, 1.0), np.ones((3, 1)), cfg)
+        traj = gs.simulate(decompose(g, p), one_d_input(p, 1.0), np.ones((3, 1)), cfg)
         idx = traj.nearest_index(0.74)
         assert traj.times[idx] == 0.5
         assert traj.nearest_index(0.76) == idx + 1
@@ -208,7 +208,7 @@ class TestMeasurement:
         rng = np.random.default_rng(31)
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
         traj = gs.simulate(
-            g, p, u, rng.normal(size=(g.n, 2)),
+            decompose(g, p), u, rng.normal(size=(g.n, 2)),
             gs.SimConfig(dimension=2, dt=0.05, t_final=5.0, integrator="exact"),
         )
         assert traj.dominance_ratio(5.0) < traj.dominance_ratio(1.0)
@@ -216,7 +216,7 @@ class TestMeasurement:
     def test_dominance_unavailable_for_rk4(self, k3):
         g, p = k3
         cfg = gs.SimConfig(dimension=1, dt=0.01, t_final=1.0, integrator="rk4")
-        traj = gs.simulate(g, p, one_d_input(p, 1.0), np.ones((3, 1)), cfg)
+        traj = gs.simulate(decompose(g, p), one_d_input(p, 1.0), np.ones((3, 1)), cfg)
         assert traj.dominance_ratio(0.5) is None
 
 

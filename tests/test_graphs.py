@@ -110,27 +110,6 @@ class TestGroundedLaplacian:
             assert w[0] > 0.0
 
 
-class TestAugmentedSystem:
-    def test_p2_injection(self, p2):
-        aug = gs.augmented_system(*p2)
-        assert aug.l12.tolist() == [[-1.0], [0.0]]
-
-    def test_k3_two_leaders(self):
-        g = gs.build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        p = gs.make_partition(3, [0, 1])
-        aug = gs.augmented_system(g, p)
-        expect = np.zeros((3, 2))
-        expect[0, 0] = -1.0
-        expect[1, 1] = -1.0
-        assert (aug.l12 == expect).all()
-
-    def test_column_count_matches_leaders(self, ensemble):
-        for g, p in ensemble[:10]:
-            aug = gs.augmented_system(g, p)
-            assert aug.l12.shape == (g.n, len(p.leaders))
-            assert (aug.l12.sum(axis=0) == -1.0).all()
-
-
 class TestDegrees:
     def test_k3_follower_degree(self, k3):
         g, p = k3

@@ -38,20 +38,21 @@ class TestLimitingVector:
     def test_k3(self, k3):
         vbar = gs.limiting_fiedler_vector(*k3, K3_LAMBDA)
         np.testing.assert_allclose(
-            vbar.entries, [2.0 / (1.0 + np.sqrt(3.0)), 1.0, 1.0], atol=1e-12
+            vbar, [2.0 / (1.0 + np.sqrt(3.0)), 1.0, 1.0], atol=1e-12
         )
+        assert not vbar.flags.writeable
 
     def test_follower_entries_exactly_one(self, ensemble):
         for g, p in ensemble[:20]:
             vbar = gs.limiting_fiedler_vector(g, p, 0.4)
-            assert all(vbar.entries[j] == 1.0 for j in p.followers)
-            assert all(0.0 < vbar.entries[j] < 1.0 for j in p.leaders)
+            assert all(vbar[j] == 1.0 for j in p.followers)
+            assert all(0.0 < vbar[j] < 1.0 for j in p.leaders)
 
     def test_degree_one_leaders(self):
         g = gs.build_graph(4, [(0, 2), (1, 2), (2, 3)])
         p = gs.make_partition(4, [0, 1])
         vbar = gs.limiting_fiedler_vector(g, p, 0.5)
-        np.testing.assert_allclose(vbar.entries[:2], [1.0 / 1.5, 1.0 / 1.5])
+        np.testing.assert_allclose(vbar[:2], [1.0 / 1.5, 1.0 / 1.5])
 
     def test_isolated_leader_rejected(self):
         g = gs.build_graph(3, [(1, 2)])
@@ -101,7 +102,7 @@ class TestScaleOptimalDistance:
         r = gs.fiedler_pair(gs.grounded_laplacian(*k3))
         vbar = gs.limiting_fiedler_vector(*k3, r.lambda_f)
         c_grid = np.arange(0.0, 3.0, 1e-6)
-        t, v = vbar.entries, r.v_f
+        t, v = vbar, r.v_f
         dist2 = (
             np.dot(t, t) - 2.0 * c_grid * np.dot(t, v) + c_grid**2 * np.dot(v, v)
         )
@@ -139,13 +140,13 @@ class TestSeparationQuantities:
         assert (lhs, rhs) == (pytest.approx(0.3), 0.0)
 
     def test_two_leaders_both_readings(self):
+        # the second quantity is the nearest-other-leader distance, never the
+        # self-inclusive 0
         p = gs.make_partition(4, [0, 1])
         v = np.array([0.7, 0.72, 1.0, 1.0])
         lhs, rhs = gs.separation_quantities(v, p)
         assert lhs == pytest.approx(0.28)
-        assert rhs == 0.0
-        _, rhs_nearest = gs.separation_quantities(v, p, exclude_self=True)
-        assert rhs_nearest == pytest.approx(0.02)
+        assert rhs == pytest.approx(0.02)
 
     def test_recorded_ten_node_estimate(self):
         # frozen 10-agent estimate whose true leaders are {2, 4, 8} (1-based)
@@ -164,7 +165,7 @@ class TestCheckIdentifiability:
         rep = gs.check_identifiability(*k3)
         assert rep.connected
         assert rep.leaders_nonadjacent  # vacuously, single leader
-        assert rep.separation_rhs == 0.0
+        assert rep.separation_rhs_nearest == 0.0
 
     def test_k3_adjacent_leaders(self):
         g = gs.build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -206,8 +207,8 @@ class TestCheckIdentifiability:
         assert gs.scale_optimal_distance(v, vbar) == pytest.approx(
             gs.scale_optimal_distance(scaled, vbar), rel=1e-12
         )
-        lhs, _ = gs.separation_quantities(v, p, exclude_self=True)
-        lhs_s, rhs_s = gs.separation_quantities(scaled, p, exclude_self=True)
+        lhs, _ = gs.separation_quantities(v, p)
+        lhs_s, rhs_s = gs.separation_quantities(scaled, p)
         assert (lhs > 0) == (lhs_s > 0)
         assert (lhs > rhs_s / 7.3) == (lhs_s > rhs_s)
 
@@ -216,22 +217,23 @@ class TestCheckIdentifiability:
             if len(p.leaders) != 1:
                 continue
             rep = gs.check_identifiability(g, p)
-            assert rep.separation_rhs == 0.0
             assert rep.separation_rhs_nearest == 0.0
             if rep.separated:
                 assert rep.separation_lhs > 0.0
 
     def test_json_has_every_field(self, dense12):
         payload = gs.check_identifiability(*dense12).to_json()
-        assert {
+        assert set(payload) == {
             "connected",
             "leaders_nonadjacent",
+            "lambda_F",
             "epsilon_d",
+            "epsilon_d_nearest",
             "epsilon",
             "condition_iii_holds",
             "condition_iv_holds",
             "separation_lhs",
-            "separation_rhs",
+            "separation_rhs_nearest",
             "separated",
             "min_follower_degree",
-        } <= set(payload)
+        }

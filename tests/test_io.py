@@ -7,6 +7,8 @@ import groundspect as gs
 from groundspect import io
 from groundspect.errors import InputFormatError
 
+from conftest import decompose
+
 
 class TestGraphFiles:
     def test_roundtrip_preserves_structure(self, tmp_path, dense12):
@@ -82,7 +84,7 @@ class TestTrajectoryCsv:
         g, p = k3
         u = gs.ExternalInput(dimension=2, values={0: (1.0, -2.0)})
         cfg = gs.SimConfig(dimension=2, dt=0.1, t_final=1.0, integrator="exact")
-        traj = gs.simulate(g, p, u, np.ones((3, 2)), cfg)
+        traj = gs.simulate(decompose(g, p), u, np.ones((3, 2)), cfg)
         path = tmp_path / "traj.csv"
         io.write_trajectory_csv(path, traj)
         times, states, velocities = io.read_trajectory_csv(path)
@@ -94,7 +96,7 @@ class TestTrajectoryCsv:
         g, p = p2
         u = gs.ExternalInput(dimension=1, values={0: (5.0,)})
         cfg = gs.SimConfig(dimension=1, dt=0.5, t_final=1.0, integrator="exact")
-        io.write_trajectory_csv(tmp_path / "t.csv", gs.simulate(g, p, u, np.zeros((2, 1)), cfg))
+        io.write_trajectory_csv(tmp_path / "t.csv", gs.simulate(decompose(g, p), u, np.zeros((2, 1)), cfg))
         header = (tmp_path / "t.csv").read_text().splitlines()[0]
         assert header == "t,x1_1,x2_1,v1_1,v2_1"
 
@@ -107,7 +109,7 @@ class TestTempoCsv:
         spect = gs.fiedler_pair(gs.grounded_laplacian(g, p))
         t_meas, _ = gs.choose_measurement_time(spect.spectrum)
         cfg = gs.SimConfig(dimension=2, dt=t_meas / 64, t_final=t_meas, integrator="exact")
-        traj = gs.simulate(g, p, u, rng.normal(size=(g.n, 2)), cfg)
+        traj = gs.simulate(spect, u, rng.normal(size=(g.n, 2)), cfg)
         path = tmp_path / "tempo.csv"
         io.write_tempo_csv(path, traj)
         lines = path.read_text().splitlines()
@@ -119,9 +121,10 @@ class TestTempoCsv:
     def test_equilibrium_rows_left_empty(self, tmp_path, k3):
         g, p = k3
         u = gs.ExternalInput(dimension=1, values={0: (2.0,)})
-        xstar = gs.steady_state(g, p, u)
+        spect = decompose(g, p)
+        xstar = gs.steady_state(spect, u)
         cfg = gs.SimConfig(dimension=1, dt=0.5, t_final=1.0, integrator="exact")
-        traj = gs.simulate(g, p, u, xstar, cfg)
+        traj = gs.simulate(spect, u, xstar, cfg)
         path = tmp_path / "tempo.csv"
         io.write_tempo_csv(path, traj)
         for line in path.read_text().splitlines()[1:]:
@@ -139,4 +142,5 @@ class TestManifest:
         payload = io.load_json(a)
         assert payload["subcommand"] == "gen"
         assert payload["tool_version"] == gs.__version__
+        assert payload["numpy_version"] == np.__version__
         assert payload["rng_seed"] == 7

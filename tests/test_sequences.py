@@ -128,7 +128,7 @@ class TestSpectralTrendsAlongSequences:
             r = gs.fiedler_pair(gs.grounded_laplacian(g, p))
             assert 0.0 < r.lambda_f < 1.0
             adj = gs.semi_normalized_adjacency(g, p, r.lambda_f)
-            vbar = gs.limiting_fiedler_vector(g, p, r.lambda_f).entries
+            vbar = gs.limiting_fiedler_vector(g, p, r.lambda_f)
             residuals.append(np.abs(adj.matrix @ vbar - vbar).max())
         assert residuals[-1] < residuals[0]
 

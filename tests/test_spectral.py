@@ -1,5 +1,7 @@
 """Eigensolver accuracy and the Perron property of the scaled adjacency."""
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,47 @@ class TestFiedlerPair:
         assert len(payload["v_F"]) == 2
 
 
+def openblas_thread_counts() -> list:
+    """get_num_threads of every OpenBLAS mapped into this process."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    getters = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads"):
+            if hasattr(handle, sym):
+                getters.append(getattr(handle, sym))
+                break
+    return getters
+
+
+class TestOneBlasThread:
+    def test_lapack_sees_one_thread_and_caller_count_is_restored(self, monkeypatch, k3):
+        try:
+            getters = openblas_thread_counts()
+        except OSError:
+            getters = []
+        if not getters:
+            pytest.skip("no OpenBLAS mapped into the process")
+        seen = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                seen.append([get() for get in getters])
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        before = [get() for get in getters]
+        monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+        r = gs.fiedler_pair(gs.grounded_laplacian(*k3))
+        gs.verify_perron(gs.semi_normalized_adjacency(*k3, r.lambda_f), r.v_f)
+        assert seen == [[1] * len(getters)] * 2
+        assert [get() for get in getters] == before
+
+
 class TestSemiNormalizedAdjacency:
     def test_p2_entries(self, p2):
         lam = P2_LAMBDA
@@ -189,17 +232,19 @@ class TestEnsembleInvariants:
     """Smallest-pair consistency and eigen-residuals over the shared ensemble."""
 
     def test_fiedler_matches_oracle_solver(self, ensemble):
+        # LAPACK against the independent Jacobi reference
         for g, p in ensemble:
             L = gs.grounded_laplacian(g, p)
             r = gs.fiedler_pair(L)
             w, vecs = gs.eig_symmetric(L.matrix)
             assert abs(r.lambda_f - w[0]) <= 1e-9
+            assert np.abs(r.spectrum - w).max() <= 1e-9
             v = vecs[:, 0]
             v = v if v[np.abs(v).argmax()] > 0 else -v
             assert np.abs(r.v_f - v / np.linalg.norm(v)).max() <= 1e-9
 
     def test_fiedler_matches_lapack(self, ensemble):
-        # independent route: LAPACK instead of the rotation solver
+        # the values-only LAPACK driver agrees with the full decomposition
         for g, p in ensemble[:60]:
             L = gs.grounded_laplacian(g, p)
             r = gs.fiedler_pair(L)

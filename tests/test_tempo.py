@@ -12,7 +12,7 @@ from groundspect.errors import (
     ZeroReferenceVelocityError,
 )
 
-from conftest import GOLDEN
+from conftest import GOLDEN, decompose
 
 # frozen 10-agent velocity-derived estimate; its true leaders are {2, 4, 8}
 # in 1-based labels
@@ -51,7 +51,7 @@ class TestRelativeTempo:
         t_meas, dom = gs.choose_measurement_time(spect.spectrum)
         assert dom <= 1e-6
         cfg = gs.SimConfig(dimension=1, dt=t_meas / 512, t_final=t_meas, integrator="exact")
-        traj = gs.simulate(g, p, u, np.zeros((2, 1)), cfg)
+        traj = gs.simulate(spect, u, np.zeros((2, 1)), cfg)
         vel = gs.measure_velocities(traj, t_meas)
         assert gs.relative_tempo(vel, 1, 0) == pytest.approx(GOLDEN, abs=1e-4)
 
@@ -143,7 +143,7 @@ class TestRunPipeline:
         g, p = k3
         rng = np.random.default_rng(12)
         result, diag = gs.run_pipeline(
-            g, p, one_d_input(p, 3.0), rng.normal(size=(3, 1))
+            decompose(g, p), one_d_input(p, 3.0), rng.normal(size=(3, 1))
         )
         assert result.leader_set == frozenset({0})
         assert diag.recovered
@@ -153,25 +153,35 @@ class TestRunPipeline:
         g, p = dense12
         rng = np.random.default_rng(13)
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
-        result, diag = gs.run_pipeline(g, p, u, rng.normal(size=(g.n, 2)))
+        result, diag = gs.run_pipeline(decompose(g, p), u, rng.normal(size=(g.n, 2)))
         assert diag.recovered
         assert diag.angle_to_true < 1e-3
         assert diag.measured_dominance is not None
         assert diag.measured_dominance <= 1e-5
 
+    def test_reads_the_given_decomposition(self, dense12, decompositions):
+        g, p = dense12
+        spect = decompose(g, p)
+        decompositions.clear()
+        u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
+        _, diag = gs.run_pipeline(spect, u, np.random.default_rng(16).normal(size=(g.n, 2)))
+        assert diag.recovered
+        assert not decompositions
+
     def test_equilibrium_start_fails_loudly(self, k3):
         g, p = k3
         u = one_d_input(p, 3.0)
-        xstar = gs.steady_state(g, p, u)
+        spect = decompose(g, p)
+        xstar = gs.steady_state(spect, u)
         with pytest.raises(AllVelocitiesZeroError):
-            gs.run_pipeline(g, p, u, xstar)
+            gs.run_pipeline(spect, u, xstar)
 
     def test_explicit_config_caps_measurement(self, dense12):
         g, p = dense12
         rng = np.random.default_rng(14)
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
         cfg = gs.SimConfig(dimension=2, dt=0.01, t_final=1.0, integrator="exact")
-        _, diag = gs.run_pipeline(g, p, u, rng.normal(size=(g.n, 2)), cfg)
+        _, diag = gs.run_pipeline(decompose(g, p), u, rng.normal(size=(g.n, 2)), cfg)
         assert diag.measurement_time <= 1.0 + 1e-9
 
     def test_grid_not_dividing_horizon(self, dense12):
@@ -180,7 +190,7 @@ class TestRunPipeline:
         rng = np.random.default_rng(15)
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
         cfg = gs.SimConfig(dimension=2, dt=0.3, t_final=1.0, integrator="exact")
-        _, diag = gs.run_pipeline(g, p, u, rng.normal(size=(g.n, 2)), cfg)
+        _, diag = gs.run_pipeline(decompose(g, p), u, rng.normal(size=(g.n, 2)), cfg)
         assert diag.measurement_time == pytest.approx(0.9)
 
     def test_estimator_consistency_in_time(self):
@@ -202,7 +212,7 @@ class TestRunPipeline:
             cfg = gs.SimConfig(
                 dimension=2, dt=t_meas / 64, t_final=t_meas, integrator="exact"
             )
-            traj = gs.simulate(g, p, u, x0, cfg)
+            traj = gs.simulate(spect, u, x0, cfg)
             angles = []
             for idx in range(16, len(traj.times), 8):
                 _, est = gs.estimate_fiedler(traj.velocities[idx])
