@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, io
 from .dynamics import (
+    RK4_STABILITY,
     ExternalInput,
     SimConfig,
     choose_measurement_time,
@@ -260,7 +261,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     elif args.integrator == "exact":
         dt = t_final / 512.0
     else:
-        dt = min(t_final / 512.0, 0.5 * 2.785 / spect.spectrum[-1])
+        dt = min(t_final / 512.0, 0.5 * RK4_STABILITY / spect.spectrum[-1])
     cfg = SimConfig(
         dimension=u.dimension,
         dt=dt,

@@ -179,17 +179,11 @@ def simulate(
 
     if cfg.integrator == "exact":
         y0 = q.T @ (x0 - xstar)  # (n, d) modal coefficients
-        decay = np.exp(-np.outer(times, w))  # (T, n)
-        states = xstar + np.einsum("ik,tk,kd->tid", q, decay, y0)
-        velocities = -np.einsum("ik,k,tk,kd->tid", q, w, decay, y0)
-        traj = Trajectory(
-            times=times,
-            states=states,
-            velocities=velocities,
-            steady=xstar,
-            eigenvalues=w,
-            modal_coefficients=y0,
-        )
+        modal = np.exp(-np.outer(times, w))[:, :, None] * y0  # (T, n, d)
+        states = q @ modal
+        states += xstar
+        modal *= -w[:, None]
+        velocities = q @ modal
     else:
         limit = RK4_STABILITY / w[-1]
         if cfg.dt >= limit:
@@ -215,17 +209,18 @@ def simulate(
                 if not np.isfinite(x).all():
                     raise NonFiniteStateError(f"non-finite state at step {k}")
                 states[record_set[k]] = x
-        velocities = forcing - np.einsum("ij,tjd->tid", l11, states)
-        traj = Trajectory(
-            times=times,
-            states=states,
-            velocities=velocities,
-            steady=xstar,
-            eigenvalues=w,
-        )
-    if not np.isfinite(traj.states).all():
+        velocities = forcing - l11 @ states
+        y0 = None  # the dominance diagnostic needs the exact integrator's modes
+    if not np.isfinite(states).all():
         raise NonFiniteStateError("non-finite state in trajectory")
-    return traj
+    return Trajectory(
+        times=times,
+        states=states,
+        velocities=velocities,
+        steady=xstar,
+        eigenvalues=w,
+        modal_coefficients=y0,
+    )
 
 
 def measure_velocities(traj: Trajectory, t: float) -> np.ndarray:

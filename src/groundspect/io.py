@@ -23,6 +23,10 @@ from .graphs import Graph, Partition, build_graph, make_partition
 from .sequences import GraphSequence, SequenceConfig
 from .tempo import estimate_fiedler
 
+# Rows end as in the csv module's default dialect, which read_trajectory_csv
+# parses; %.17g round-trips every float and no cell ever needs quoting.
+_EOL = "\r\n"
+
 
 def load_json(path: str | Path) -> Any:
     try:
@@ -158,14 +162,11 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
         + [f"x{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
         + [f"v{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
     )
+    row = ",".join(["%.17g"] * (1 + 2 * n * d)) + _EOL
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            row += [_fmt(x) for x in traj.states[idx].ravel()]
-            row += [_fmt(v) for v in traj.velocities[idx].ravel()]
-            writer.writerow(row)
+        fh.write(",".join(header) + _EOL)
+        for t, x, v in zip(traj.times.tolist(), traj.states, traj.velocities):
+            fh.write(row % (t, *x.ravel().tolist(), *v.ravel().tolist()))
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,15 +195,16 @@ def write_tempo_csv(path: str | Path, traj: Trajectory) -> None:
     over.
     """
     n = traj.states.shape[1]
+    row = ",".join(["%.17g"] * (1 + n)) + _EOL
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"tau{i + 1}" for i in range(n)])
-        for idx, t in enumerate(traj.times):
+        fh.write(",".join(["t"] + [f"tau{i + 1}" for i in range(n)]) + _EOL)
+        for t, vel in zip(traj.times.tolist(), traj.velocities):
             try:
-                _, estimate = estimate_fiedler(traj.velocities[idx], float(t))
-                writer.writerow([_fmt(t)] + [_fmt(x) for x in estimate])
+                _, estimate = estimate_fiedler(vel, t)
             except GroundspectError:
-                writer.writerow([_fmt(t)] + [""] * n)
+                fh.write(f"{t:.17g}" + "," * n + _EOL)
+            else:
+                fh.write(row % (t, *estimate.tolist()))
 
 
 # -- run manifests --------------------------------------------------------------------
@@ -228,7 +230,3 @@ def write_manifest(
             "outputs": sorted(outputs),
         },
     )
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"

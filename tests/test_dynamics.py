@@ -137,6 +137,24 @@ class TestSimulate:
             rhs = forcing - l11 @ traj.states[idx]
             assert np.abs(traj.velocities[idx] - rhs).max() <= 1e-10 * scale
 
+    def test_exact_velocities_match_rhs_at_n40_d3(self):
+        rng = np.random.default_rng(41)
+        g, p = gs.dense_follower_instance(37, (2, 3, 4), rng=rng)
+        u = gs.ExternalInput(
+            dimension=3, values={l: tuple(rng.uniform(-50, 50, 3)) for l in p.leaders}
+        )
+        spect = decompose(g, p)
+        t_meas, _ = gs.choose_measurement_time(spect.spectrum)
+        cfg = gs.SimConfig(dimension=3, dt=t_meas / 64, t_final=t_meas, integrator="exact")
+        traj = gs.simulate(spect, u, rng.normal(size=(g.n, 3)), cfg)
+        assert traj.states.shape == (65, 40, 3)
+        forcing = np.zeros((g.n, 3))
+        for l in p.leaders:
+            forcing[l] = u.values[l]
+        tol = 1e-9 * np.abs(traj.velocities).max()
+        for x, v in zip(traj.states, traj.velocities):
+            assert np.abs(v - (forcing - spect.grounded.matrix @ x)).max() <= tol
+
     def test_mode_decay_formula(self, k3):
         g, p = k3
         rng = np.random.default_rng(23)

@@ -1,5 +1,8 @@
 """File formats: 1-based labels, schema validation, CSV round trips."""
 
+import csv
+import io as stdio
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,51 @@ class TestTempoCsv:
         io.write_tempo_csv(path, traj)
         for line in path.read_text().splitlines()[1:]:
             assert line.split(",")[1:] == [""] * g.n
+
+
+class TestCsvBytes:
+    """The writers' text equals csv.writer's default dialect with %.17g cells."""
+
+    @staticmethod
+    def expected(rows) -> str:
+        buf = stdio.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue()
+
+    def test_trajectory_csv(self, tmp_path):
+        times = np.array([0.0, 0.25, 1.0 / 3.0])
+        states = np.arange(12, dtype=float).reshape(3, 2, 2) / 7.0
+        states[0, 0, 0] = -0.0
+        states[1, 1, 0] = 5e-324  # smallest subnormal
+        states[2, 0, 1] = 1.2345678901234567e300
+        velocities = -states[::-1] / 3.0
+        traj = gs.Trajectory(times=times, states=states, velocities=velocities, steady=states[0])
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, traj)
+        rows = [["t", "x1_1", "x1_2", "x2_1", "x2_2", "v1_1", "v1_2", "v2_1", "v2_2"]]
+        for t, x, v in zip(times, states, velocities):
+            rows.append([f"{c:.17g}" for c in [t, *x.ravel(), *v.ravel()]])
+        text = path.read_bytes().decode()
+        assert text == self.expected(rows)
+        assert text.count("\r\n") == 4 and "-0," in text and "4.9406564584124654e-324" in text
+
+    def test_tempo_csv_with_equilibrium_rows(self, tmp_path):
+        times = np.array([0.0, 0.5, 1.0])
+        velocities = np.zeros((3, 3, 2))
+        velocities[1] = [[1.0, -2.0], [0.5, 3.0], [-1e-7, 2.5]]
+        traj = gs.Trajectory(
+            times=times, states=np.ones((3, 3, 2)), velocities=velocities, steady=np.ones((3, 2))
+        )
+        path = tmp_path / "tempo.csv"
+        io.write_tempo_csv(path, traj)
+        _, estimate = gs.estimate_fiedler(velocities[1])
+        rows = [
+            ["t", "tau1", "tau2", "tau3"],
+            ["0", "", "", ""],
+            ["0.5"] + [f"{x:.17g}" for x in estimate],
+            ["1", "", "", ""],
+        ]
+        assert path.read_bytes().decode() == self.expected(rows)
 
 
 class TestManifest:

@@ -96,6 +96,22 @@ class TestEstimateFiedler:
         with pytest.raises(AllVelocitiesZeroError):
             gs.estimate_fiedler(np.zeros((4, 2)))
 
+    def test_underflowing_reference_rejected(self):
+        # the norms are representable, the reference's squared norm is not
+        vel = 1e-160 * np.random.default_rng(5).normal(size=(6, 2))
+        with pytest.raises(ZeroReferenceVelocityError):
+            gs.estimate_fiedler(vel)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_values_match_relative_tempo(self, dense12, d):
+        r = gs.fiedler_pair(gs.grounded_laplacian(*dense12))
+        rng = np.random.default_rng(20 + d)
+        vel = np.outer(r.v_f, rng.normal(size=d)) + 1e-3 * rng.normal(size=(r.v_f.size, d))
+        tv, _ = gs.estimate_fiedler(vel)
+        expected = [gs.relative_tempo(vel, i, tv.reference) for i in range(r.v_f.size)]
+        np.testing.assert_allclose(tv.values, expected, rtol=1e-14, atol=0.0)
+        assert tv.values[tv.reference] == 1.0
+
 
 class TestIdentifyLeaders:
     def test_recorded_estimate(self):
@@ -158,6 +174,14 @@ class TestRunPipeline:
         assert diag.angle_to_true < 1e-3
         assert diag.measured_dominance is not None
         assert diag.measured_dominance <= 1e-5
+
+    def test_default_records_start_and_measurement_only(self, dense12):
+        g, p = dense12
+        u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
+        x0 = np.random.default_rng(18).normal(size=(g.n, 2))
+        _, diag = gs.run_pipeline(decompose(g, p), u, x0)
+        np.testing.assert_array_equal(diag.trajectory.times, [0.0, diag.measurement_time])
+        assert diag.recovered
 
     def test_reads_the_given_decomposition(self, dense12, decompositions):
         g, p = dense12
