@@ -402,7 +402,7 @@ def _pipeline_worker(job: tuple[str, dict, int, int]) -> dict:
         row["epsilon_d"] = report.epsilon_d
         u = _generated_inputs(p, dim, seed)
         x0 = _random_x0(g, u, seed)
-        estimate, diag = run_pipeline(fiedler_pair(grounded_laplacian(g, p)), u, x0)
+        estimate, diag = run_pipeline(report.spectral, u, x0)
         row["leaders"] = sorted(i + 1 for i in estimate.leader_set)
         row["recovered"] = diag.recovered
         row["angle_to_true"] = diag.angle_to_true

@@ -35,9 +35,6 @@ class Graph:
     def degree(self, i: NodeId) -> int:
         return len(self.neighbors[i])
 
-    def has_edge(self, i: NodeId, j: NodeId) -> bool:
-        return j in self.neighbors[i]
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for i, j in self.edges:
@@ -139,7 +136,8 @@ class GroundedLaplacian:
 
 def grounded_laplacian(g: Graph, p: Partition) -> GroundedLaplacian:
     """L(G) + diag(1 on leader rows, 0 on follower rows)."""
-    _check_partition(g, p)
+    if p.n != g.n:
+        raise ValueError(f"partition is over {p.n} nodes, graph has {g.n}")
     m = g.laplacian_matrix()
     for i in p.leaders:
         m[i, i] += 1.0
@@ -159,14 +157,12 @@ def leader_degree(g: Graph, p: Partition, j: NodeId) -> int:
 
 def min_follower_degree(g: Graph, p: Partition) -> int:
     """Minimum follower-follower degree over the follower set."""
-    return min(follower_degree(g, p, j) for j in p.followers)
+    leaders = set(p.leaders)
+    nbs = g.neighbors
+    return min(len(nbs[j]) - len(leaders.intersection(nbs[j])) for j in p.followers)
 
 
 def leaders_nonadjacent(g: Graph, p: Partition) -> bool:
     """True iff no edge joins two leaders."""
-    return all(leader_degree(g, p, j) == 0 for j in p.leaders)
-
-
-def _check_partition(g: Graph, p: Partition) -> None:
-    if p.n != g.n:
-        raise ValueError(f"partition is over {p.n} nodes, graph has {g.n}")
+    leaders = set(p.leaders)
+    return all(leaders.isdisjoint(g.neighbors[j]) for j in p.leaders)

@@ -10,7 +10,7 @@ the follower entries — which is exactly what the sorted-gap detector needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .graphs import (
     leaders_nonadjacent,
     min_follower_degree,
 )
-from .spectral import fiedler_pair
+from .spectral import SpectralResult, fiedler_pair
 
 
 def limiting_leader_entry(degree: int, lambda_f: float) -> float:
@@ -103,7 +103,9 @@ class IdentifiabilityReport:
     both are inspectable. ``separated`` is the combined certificate: all four
     conditions hold and the follower/leader gap in the computed Fiedler
     vector (``separation_lhs``) exceeds the within-leader spread
-    (``separation_rhs_nearest``, nearest-other-leader reading).
+    (``separation_rhs_nearest``, nearest-other-leader reading). ``spectral``
+    is the decomposition the report was computed from, for later layers to
+    reuse; it is left out of comparisons, repr and ``to_json``.
     """
 
     connected: bool
@@ -118,6 +120,7 @@ class IdentifiabilityReport:
     separation_rhs_nearest: float
     separated: bool
     min_follower_degree: int
+    spectral: SpectralResult = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -177,4 +180,5 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
         separation_rhs_nearest=rhs_nearest,
         separated=separated,
         min_follower_degree=min_follower_degree(g, p),
+        spectral=result,
     )

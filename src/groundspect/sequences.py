@@ -93,6 +93,10 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
     Every later element adds uniformly chosen absent follower-follower edges
     until the minimum follower-follower degree strictly exceeds the previous
     element's; leader adjacency never changes after element 0.
+
+    Each element costs O(F^2) to list the F followers' absent pairs, plus
+    O(1) per added edge: the follower-follower degrees and the count at their
+    minimum are updated at the two endpoints only.
     """
     n_leaders = len(cfg.leader_degrees)
     if max(cfg.leader_degrees) > cfg.initial_followers:
@@ -103,47 +107,53 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
     rng = np.random.default_rng(cfg.rng_seed)
     leaders = list(range(n_leaders))
     followers = list(range(n_leaders, n_leaders + cfg.initial_followers))
+    deg = [0] * len(followers)  # deg[k]: follower-follower degree of node n_leaders + k
 
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()  # each stored as (smaller, larger)
     # Random recursive spanning tree over the followers.
     for idx in range(1, len(followers)):
-        anchor = followers[int(rng.integers(idx))]
-        edges.append(_canon(followers[idx], anchor))
+        anchor = int(rng.integers(idx))
+        edges.add((followers[anchor], followers[idx]))
+        deg[anchor] += 1
+        deg[idx] += 1
     for leader, d in zip(leaders, cfg.leader_degrees):
         picks = rng.choice(len(followers), size=d, replace=False)
-        edges.extend(_canon(leader, followers[int(k)]) for k in picks)
+        edges.update((leader, followers[int(k)]) for k in picks)
 
     elements = [_materialize(leaders, followers, edges)]
-    edge_set = set(edges)
-    prev_min = min_follower_degree(*elements[0])
+    prev_min = min(deg)
     saturated = False
 
     for _ in range(1, cfg.steps):
         if cfg.growth == "add_nodes_and_edges":
-            new_node = n_leaders + len(followers)
-            anchor = followers[int(rng.integers(len(followers)))]
-            followers.append(new_node)
-            e = _canon(new_node, anchor)
-            edges.append(e)
-            edge_set.add(e)
+            anchor = int(rng.integers(len(followers)))
+            e = (followers[anchor], n_leaders + len(followers))
+            followers.append(e[1])
+            deg[anchor] += 1
+            deg.append(1)
+            edges.add(e)
         absent = [
             (a, b)
             for i, a in enumerate(followers)
             for b in followers[i + 1 :]
-            if _canon(a, b) not in edge_set
+            if (a, b) not in edges
         ]
-        target = prev_min
-        current = _min_ff_degree(edges, leaders, followers)
-        while current <= target:
+        current = min(deg)
+        at_min = deg.count(current)
+        while current <= prev_min:
             if not absent:
                 saturated = True
                 break
             k = int(rng.integers(len(absent)))
             absent[k], absent[-1] = absent[-1], absent[k]
-            e = _canon(*absent.pop())
-            edges.append(e)
-            edge_set.add(e)
-            current = _min_ff_degree(edges, leaders, followers)
+            e = absent.pop()
+            edges.add(e)
+            for node in e:
+                deg[node - n_leaders] += 1
+                at_min -= deg[node - n_leaders] == current + 1
+            if at_min == 0:
+                current += 1
+                at_min = deg.count(current)
         if saturated:
             log.debug("follower subgraph saturated after %d elements", len(elements))
             break
@@ -289,20 +299,9 @@ def _canon(a: int, b: int) -> tuple[int, int]:
 
 
 def _materialize(
-    leaders: list[int], followers: list[int], edges: list[tuple[int, int]]
+    leaders: list[int], followers: list[int], edges: set[tuple[int, int]]
 ) -> tuple[Graph, Partition]:
     n = len(leaders) + len(followers)
-    g = build_graph(n, sorted(set(edges)))
+    g = build_graph(n, edges)
     return g, make_partition(n, leaders)
 
-
-def _min_ff_degree(
-    edges: list[tuple[int, int]], leaders: list[int], followers: list[int]
-) -> int:
-    leader_set = set(leaders)
-    deg = {f: 0 for f in followers}
-    for a, b in edges:
-        if a not in leader_set and b not in leader_set:
-            deg[a] += 1
-            deg[b] += 1
-    return min(deg.values())

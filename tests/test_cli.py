@@ -209,6 +209,10 @@ class TestOneDecomposition:
         assert run("oracle", dense12_file) == 0
         assert decompositions == {"eigh": 1, "eig_symmetric": 1}
 
+    def test_pipeline_decomposes_each_graph_once(self, tmp_path, dense12_file, decompositions):
+        assert run("pipeline", dense12_file, "-o", tmp_path) == 0
+        assert decompositions == {"eigh": 1}
+
 
 class TestPipeline:
     def test_batch_over_sequence(self, tmp_path):

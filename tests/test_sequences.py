@@ -1,7 +1,12 @@
 """Densifying-family generation, validation, and determinism."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groundspect as gs
 from groundspect import io
@@ -76,6 +81,64 @@ class TestGenerate:
         a = gs.generate_sequence(small_cfg(steps=2, initial_followers=8, rng_seed=1))
         b = gs.generate_sequence(small_cfg(steps=2, initial_followers=8, rng_seed=2))
         assert a.elements != b.elements
+
+
+# SHA-256 of the edge lists and saturation flags of PINNED_CONFIGS. Generated
+# families (and so saved sequence files) must never change for a given config;
+# the digest predates the incremental follower-degree bookkeeping.
+PINNED_CONFIGS = (
+    gs.SequenceConfig((2, 3, 2), 30, 10, "densify_edges", 7),
+    gs.SequenceConfig((2, 3), 20, 8, "add_nodes_and_edges", 8),
+    gs.SequenceConfig((2, 2), 5, 30, "densify_edges", 9),  # saturates after 4
+)
+PINNED_DIGEST = "67ec857b02f3a088c45401e13942c76f3edc045b007c543ea046da0f0a6f803c"
+
+
+def brute_min_ff_degree(g, p):
+    deg = dict.fromkeys(p.followers, 0)
+    for a, b in g.edges:
+        if a in deg and b in deg:
+            deg[a] += 1
+            deg[b] += 1
+    return min(deg.values())
+
+
+class TestPinnedFamilies:
+    def test_generated_edges_match_pinned_digest(self):
+        seqs = [gs.generate_sequence(cfg) for cfg in PINNED_CONFIGS]
+        h = hashlib.sha256()
+        for seq in seqs:
+            h.update(json.dumps([[g.edges for g, _ in seq.elements], seq.saturated]).encode())
+        assert [len(seq) for seq in seqs] == [10, 8, 4]
+        assert h.hexdigest() == PINNED_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    leader_degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    extra_followers=st.integers(0, 9),
+    steps=st.integers(1, 10),
+    growth=st.sampled_from(gs.sequences.GROWTH_MODES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_incremental_minimum_matches_recount(
+    leader_degrees, extra_followers, steps, growth, seed
+):
+    cfg = gs.SequenceConfig(
+        tuple(leader_degrees), max(leader_degrees) + extra_followers, steps, growth, seed
+    )
+    seq = gs.generate_sequence(cfg)
+    mins = [gs.min_follower_degree(g, p) for g, p in seq.elements]
+    assert mins == [brute_min_ff_degree(g, p) for g, p in seq.elements]
+    assert gs.validate_sequence(seq).all_hold()
+    # One edge raises the minimum by at most one, so each element stops
+    # exactly one above the last; only a complete follower subgraph saturates.
+    assert all(b == a + 1 for a, b in zip(mins, mins[1:]))
+    _, p = seq.elements[-1]
+    if seq.saturated:
+        assert mins[-1] == len(p.followers) - 1
+    else:
+        assert len(seq) == steps
 
 
 class TestValidate:
