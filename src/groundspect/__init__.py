@@ -22,10 +22,8 @@ from .graphs import (
     GroundedLaplacian,
     Partition,
     build_graph,
-    follower_degree,
     grounded_laplacian,
     is_connected,
-    leader_degree,
     leaders_nonadjacent,
     make_partition,
     min_follower_degree,
@@ -94,12 +92,10 @@ __all__ = [
     "eig_symmetric",
     "estimate_fiedler",
     "fiedler_pair",
-    "follower_degree",
     "generate_sequence",
     "grounded_laplacian",
     "identify_leaders",
     "is_connected",
-    "leader_degree",
     "leaders_nonadjacent",
     "limiting_fiedler_vector",
     "limiting_leader_entry",

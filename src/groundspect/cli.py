@@ -10,8 +10,8 @@ Subcommands:
   pipeline  batch check + identify over many graphs (optionally parallel)
 
 Exit codes: 0 success/certified, 1 domain failure (conditions unmet,
-identification failed), 2 input error. Set GS_LOG=debug|info|warning to
-control log verbosity.
+identification failed), 2 input error (a flag out of range too). Set
+GS_LOG=debug|info|warning to control log verbosity.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from .dynamics import (
 from .errors import FiedlerOutOfRangeError, GroundspectError, InputFormatError
 from .graphs import Graph, Partition, grounded_laplacian, is_connected
 from .identifiability import check_identifiability
-from .sequences import SequenceConfig, generate_sequence
-from .spectral import eig_symmetric, fiedler_pair, semi_normalized_adjacency, verify_perron
+from .sequences import generate_sequence
+from .spectral import SpectralResult, eig_symmetric, fiedler_pair
+from .spectral import semi_normalized_adjacency, verify_perron
 from .tempo import identify_leaders, run_pipeline
 
 log = logging.getLogger(__name__)
@@ -53,10 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (InputFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GroundspectError as exc:
@@ -80,85 +78,72 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"groundspect {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gen", help="generate a densifying graph family")
+    # Arguments shared between subcommands, declared once.
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph", help="graph JSON")
+    outdir = argparse.ArgumentParser(add_help=False)
+    outdir.add_argument("-o", "--outdir", default=".")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
+        "--dim", type=_above(int, 0), default=2, help="dimension for generated inputs"
+    )
+    seeded.add_argument("--seed", type=_above(int, -1), default=0)
+    run = argparse.ArgumentParser(add_help=False, parents=[graph, seeded, outdir])
+    run.add_argument("--inputs", help="external-input JSON (default: random, seeded)")
+    run.add_argument("--integrator", choices=("rk4", "exact"), default="exact")
+    run.add_argument("--x0", choices=("random", "steady"), default="random")
+
+    def add(name: str, func, summary: str, parents: list) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("gen", _cmd_gen, "generate a densifying graph family", [outdir])
     p.add_argument("config", help="sequence config JSON")
-    p.add_argument("-o", "--outdir", default=".")
-    p.set_defaults(func=_cmd_gen)
+    add("spectral", _cmd_spectral, "Fiedler pair and Perron check", [graph, outdir])
+    add("check", _cmd_check, "identifiability certificate", [graph, outdir])
 
-    p = sub.add_parser("spectral", help="Fiedler pair and Perron check")
-    p.add_argument("graph", help="graph JSON")
-    p.add_argument("-o", "--outdir", default=".")
-    p.set_defaults(func=_cmd_spectral)
+    p = add("simulate", _cmd_simulate, "integrate the closed loop", [run])
+    p.add_argument("--dt", type=_above(float, 0), default=0.01)
+    p.add_argument("--t-final", type=_above(float, 0), default=10.0)
+    p.add_argument("--record-every", type=_above(int, 0), default=1)
 
-    p = sub.add_parser("check", help="identifiability certificate")
-    p.add_argument("graph", help="graph JSON")
-    p.add_argument("-o", "--outdir", default=".")
-    p.set_defaults(func=_cmd_check)
+    p = add("identify", _cmd_identify, "velocity-based leader identification", [run])
+    p.add_argument("--t-final", type=_above(float, 0), help="horizon (default: certified time)")
+    p.add_argument("--dt", type=_above(float, 0), help="grid step (default: horizon/512)")
 
-    p = sub.add_parser("simulate", help="integrate the closed loop")
-    p.add_argument("graph", help="graph JSON")
-    p.add_argument("--inputs", help="external-input JSON (default: random, seeded)")
-    p.add_argument("--dim", type=int, default=2, help="dimension for generated inputs")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-final", type=float, default=10.0)
-    p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--integrator", choices=("rk4", "exact"), default="exact")
-    p.add_argument("--x0", choices=("random", "steady"), default="random")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--outdir", default=".")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("identify", help="velocity-based leader identification")
-    p.add_argument("graph", help="graph JSON")
-    p.add_argument("--inputs", help="external-input JSON (default: random, seeded)")
-    p.add_argument("--dim", type=int, default=2, help="dimension for generated inputs")
-    p.add_argument("--t-final", type=float, help="horizon (default: certified time)")
-    p.add_argument("--dt", type=float, help="grid step (default: horizon/512)")
-    p.add_argument("--integrator", choices=("rk4", "exact"), default="exact")
-    p.add_argument("--x0", choices=("random", "steady"), default="random")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--outdir", default=".")
-    p.set_defaults(func=_cmd_identify)
-
-    p = sub.add_parser("oracle", help="cross-check LAPACK vs Jacobi and data-driven paths")
-    p.add_argument("graph", help="graph JSON")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p = add(
+        "oracle", _cmd_oracle, "cross-check LAPACK vs Jacobi and data-driven paths", [graph, seeded]
+    )
     p.add_argument(
         "--debug-tamper-vf",
         action="store_true",
         help="perturb the Fiedler vector before comparison (negative control)",
     )
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("pipeline", help="batch check + identify")
+    p = add("pipeline", _cmd_pipeline, "batch check + identify", [seeded, outdir])
     p.add_argument("paths", nargs="+", help="graph or sequence JSON files")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--outdir", default=".")
-    p.set_defaults(func=_cmd_pipeline)
-
+    p.add_argument("--jobs", type=_above(int, 0), default=1)
     return parser
+
+
+def _above(kind: type, bound: int):
+    """An argparse type: a finite number of the given kind, greater than bound."""
+    def parse(text: str):
+        value = kind(text)
+        if not bound < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"{text} is not a finite {kind.__name__} > {bound}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid <type> value"
+    return parse
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    payload = io.load_json(args.config)
-    try:
-        cfg = SequenceConfig(
-            leader_degrees=tuple(payload["leader_degrees"]),
-            initial_followers=int(payload["initial_followers"]),
-            steps=int(payload["steps"]),
-            growth=str(payload.get("growth", "densify_edges")),
-            rng_seed=int(payload.get("rng_seed", 0)),
-        )
-    except KeyError as exc:
-        raise InputFormatError(f"{args.config}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{args.config}: {exc}") from exc
+    cfg = io.sequence_config_from_dict(io.load_json(args.config), where=args.config)
     seq = generate_sequence(cfg)
     outdir = _ensure_outdir(args.outdir)
     out = outdir / "sequence.json"
@@ -180,37 +165,20 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     if not is_connected(g):
         raise FiedlerOutOfRangeError(f"{args.graph}: graph is disconnected")
     result = fiedler_pair(grounded_laplacian(g, p))
-    perron = verify_perron(
-        semi_normalized_adjacency(g, p, result.lambda_f), result.v_f
-    )
-    outdir = _ensure_outdir(args.outdir)
-    out = outdir / f"{Path(args.graph).stem}.spectral.json"
+    perron = verify_perron(semi_normalized_adjacency(g, p, result.lambda_f), result.v_f)
+    (out,) = _outputs(args, "spectral.json")
     io.save_json(out, result.to_json() | {"perron": perron.to_json()})
-    io.write_manifest(
-        outdir / f"{Path(args.graph).stem}.spectral.manifest.json",
-        "spectral",
-        {},
-        {"graph": str(args.graph)},
-        [str(out)],
-    )
+    _manifest(args, [out], {}, {}, rng_seed=None)
     print(f"lambda_F = {result.lambda_f:.9f}  |rho-1| = {perron.radius_error:.3e}")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g, p = io.load_graph(args.graph)
-    report = check_identifiability(g, p)
-    outdir = _ensure_outdir(args.outdir)
-    out = outdir / f"{Path(args.graph).stem}.check.json"
+    report = check_identifiability(*io.load_graph(args.graph))
+    (out,) = _outputs(args, "check.json")
     io.save_json(out, report.to_json())
-    io.write_manifest(
-        outdir / f"{Path(args.graph).stem}.check.manifest.json",
-        "check",
-        {},
-        {"graph": str(args.graph)},
-        [str(out)],
-    )
+    _manifest(args, [out], {}, {}, rng_seed=None)
     print(
         f"separated={report.separated} epsilon_d={report.epsilon_d:.4f} "
         f"epsilon={report.epsilon:.4f} min_follower_degree={report.min_follower_degree}"
@@ -220,40 +188,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    g, p = io.load_graph(args.graph)
-    u = _resolve_inputs(args, p)
-    cfg = SimConfig(
-        dimension=u.dimension,
-        dt=args.dt,
-        t_final=args.t_final,
-        record_every=args.record_every,
-        integrator=args.integrator,
-    )
-    spect = fiedler_pair(grounded_laplacian(g, p))
-    x0 = steady_state(spect, u) if args.x0 == "steady" else _random_x0(g, u, args.seed)
+    u, spect, x0 = _prepare_run(args)
+    cfg = _sim_config(u, args.dt, args.t_final, args.record_every, args.integrator)
     traj = simulate(spect, u, x0, cfg)
-    outdir = _ensure_outdir(args.outdir)
-    stem = Path(args.graph).stem
-    out = outdir / f"{stem}.traj.csv"
+    (out,) = _outputs(args, "traj.csv")
     io.write_trajectory_csv(out, traj)
-    io.write_manifest(
-        outdir / f"{stem}.simulate.manifest.json",
-        "simulate",
-        cfg.to_json() | {"x0": args.x0, "generated_inputs": args.inputs is None},
-        {"graph": str(args.graph), "inputs": args.inputs or "(generated)"},
-        [str(out)],
-        rng_seed=args.seed,
-    )
+    _run_manifest(args, cfg, [out])
     print(f"wrote {out} ({len(traj.times)} samples)")
     return 0
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    g, p = io.load_graph(args.graph)
-    u = _resolve_inputs(args, p)
-    spect = fiedler_pair(grounded_laplacian(g, p))
-    x0 = steady_state(spect, u) if args.x0 == "steady" else _random_x0(g, u, args.seed)
-
+    u, spect, x0 = _prepare_run(args)
     t_meas, _ = choose_measurement_time(spect.spectrum)
     t_final = args.t_final if args.t_final is not None else t_meas
     if args.dt is not None:
@@ -262,20 +208,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         dt = t_final / 512.0
     else:
         dt = min(t_final / 512.0, 0.5 * RK4_STABILITY / spect.spectrum[-1])
-    cfg = SimConfig(
-        dimension=u.dimension,
-        dt=dt,
-        t_final=t_final,
-        record_every=1,
-        integrator=args.integrator,
-    )
+    cfg = _sim_config(u, dt, t_final, 1, args.integrator)
     estimate, diag = run_pipeline(spect, u, x0, cfg)
 
-    outdir = _ensure_outdir(args.outdir)
-    stem = Path(args.graph).stem
-    leaders_out = outdir / f"{stem}.leaders.json"
-    traj_out = outdir / f"{stem}.traj.csv"
-    tempo_out = outdir / f"{stem}.tempo.csv"
+    leaders_out, traj_out, tempo_out = _outputs(args, "leaders.json", "traj.csv", "tempo.csv")
     io.save_json(
         leaders_out,
         estimate.to_json()
@@ -289,14 +225,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     )
     io.write_trajectory_csv(traj_out, diag.trajectory)
     io.write_tempo_csv(tempo_out, diag.trajectory)
-    io.write_manifest(
-        outdir / f"{stem}.identify.manifest.json",
-        "identify",
-        cfg.to_json() | {"x0": args.x0, "generated_inputs": args.inputs is None},
-        {"graph": str(args.graph), "inputs": args.inputs or "(generated)"},
-        [str(leaders_out), str(traj_out), str(tempo_out)],
-        rng_seed=args.seed,
-    )
+    _run_manifest(args, cfg, [leaders_out, traj_out, tempo_out])
     labels = sorted(i + 1 for i in estimate.leader_set)
     print(
         f"identified leaders {labels} (n={estimate.n_leaders}, "
@@ -351,15 +280,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    instances: list[tuple[str, dict]] = []
-    for path in args.paths:
-        payload = io.load_json(path)
-        if "graphs" in payload:
-            for idx, item in enumerate(payload["graphs"]):
-                instances.append((f"{path}#{idx}", item))
-        else:
-            instances.append((path, payload))
-
+    instances = [item for path in args.paths for item in io.load_instances(path)]
     jobs = [
         (name, graph_dict, args.seed + idx, args.dim)
         for idx, (name, graph_dict) in enumerate(instances)
@@ -437,10 +358,47 @@ def _random_x0(g: Graph, u: ExternalInput, seed: int) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=(g.n, u.dimension))
 
 
-def _resolve_inputs(args: argparse.Namespace, p: Partition) -> ExternalInput:
-    if args.inputs:
-        return io.load_inputs(args.inputs)
-    return _generated_inputs(p, args.dim, args.seed)
+def _prepare_run(args: argparse.Namespace) -> tuple[ExternalInput, SpectralResult, np.ndarray]:
+    """Load the graph, resolve the inputs, decompose once and choose x0."""
+    g, p = io.load_graph(args.graph)
+    u = io.load_inputs(args.inputs) if args.inputs else _generated_inputs(p, args.dim, args.seed)
+    spect = fiedler_pair(grounded_laplacian(g, p))
+    x0 = steady_state(spect, u) if args.x0 == "steady" else _random_x0(g, u, args.seed)
+    return u, spect, x0
+
+
+def _sim_config(
+    u: ExternalInput, dt: float, t_final: float, record_every: int, integrator: str
+) -> SimConfig:
+    try:
+        return SimConfig(u.dimension, dt, t_final, record_every, integrator)
+    except ValueError as exc:  # parsing range-checks each flag; t_final < dt is left
+        raise InputFormatError(f"{exc}: t_final={t_final:g}, dt={dt:g}") from exc
+
+
+def _outputs(args: argparse.Namespace, *suffixes: str) -> list[Path]:
+    """<outdir>/<graph stem>.<suffix> for each suffix, creating outdir."""
+    outdir = _ensure_outdir(args.outdir)
+    return [outdir / f"{Path(args.graph).stem}.{suffix}" for suffix in suffixes]
+
+
+def _manifest(
+    args: argparse.Namespace, outputs: list[Path], config: dict, inputs: dict, rng_seed: int | None
+) -> None:
+    """<outdir>/<graph stem>.<subcommand>.manifest.json for a one-graph command."""
+    io.write_manifest(
+        Path(args.outdir) / f"{Path(args.graph).stem}.{args.subcommand}.manifest.json",
+        args.subcommand,
+        config,
+        {"graph": str(args.graph)} | inputs,
+        [str(out) for out in outputs],
+        rng_seed=rng_seed,
+    )
+
+
+def _run_manifest(args: argparse.Namespace, cfg: SimConfig, outputs: list[Path]) -> None:
+    config = cfg.to_json() | {"x0": args.x0, "generated_inputs": args.inputs is None}
+    _manifest(args, outputs, config, {"inputs": args.inputs or "(generated)"}, args.seed)
 
 
 if __name__ == "__main__":

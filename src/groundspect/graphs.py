@@ -103,9 +103,6 @@ class Partition:
     leaders: tuple[int, ...]
     followers: tuple[int, ...]
 
-    def is_leader(self, i: NodeId) -> bool:
-        return i in self.leaders
-
     def leader_indicator(self) -> np.ndarray:
         delta = np.zeros(self.n)
         delta[list(self.leaders)] = 1.0
@@ -143,16 +140,6 @@ def grounded_laplacian(g: Graph, p: Partition) -> GroundedLaplacian:
         m[i, i] += 1.0
     m.flags.writeable = False
     return GroundedLaplacian(matrix=m, partition=p)
-
-
-def follower_degree(g: Graph, p: Partition, j: NodeId) -> int:
-    """Number of follower neighbors of node j."""
-    return sum(1 for k in g.neighbors[j] if not p.is_leader(k))
-
-
-def leader_degree(g: Graph, p: Partition, j: NodeId) -> int:
-    """Number of leader neighbors of node j."""
-    return sum(1 for k in g.neighbors[j] if p.is_leader(k))
 
 
 def min_follower_degree(g: Graph, p: Partition) -> int:

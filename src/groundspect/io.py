@@ -42,6 +42,16 @@ def save_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _json_object(payload: Any, where: str, *keys: str) -> dict:
+    """Return payload once it is known to be a JSON object holding every key."""
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{where}: expected a JSON object, got {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise InputFormatError(f"{where}: missing field '{key}'")
+    return payload
+
+
 # -- graphs ---------------------------------------------------------------------
 
 def graph_to_dict(g: Graph, p: Partition) -> dict:
@@ -52,10 +62,8 @@ def graph_to_dict(g: Graph, p: Partition) -> dict:
     }
 
 
-def graph_from_dict(payload: dict, where: str = "graph") -> tuple[Graph, Partition]:
-    for key in ("n", "edges", "leaders"):
-        if key not in payload:
-            raise InputFormatError(f"{where}: missing field '{key}'")
+def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partition]:
+    _json_object(payload, where, "n", "edges", "leaders")
     try:
         n = int(payload["n"])
         edges = [(int(i) - 1, int(j) - 1) for i, j in payload["edges"]]
@@ -80,7 +88,8 @@ def save_graph(path: str | Path, g: Graph, p: Partition) -> None:
 
 # -- external inputs --------------------------------------------------------------
 
-def inputs_from_dict(payload: dict, where: str = "inputs") -> ExternalInput:
+def inputs_from_dict(payload: Any, where: str = "inputs") -> ExternalInput:
+    _json_object(payload, where)
     if "dimension" not in payload or "u" not in payload:
         raise InputFormatError(f"{where}: expected fields 'dimension' and 'u'")
     try:
@@ -122,21 +131,26 @@ def sequence_to_dict(seq: GraphSequence) -> dict:
     }
 
 
-def load_sequence(path: str | Path) -> GraphSequence:
-    payload = load_json(path)
-    for key in ("config", "graphs"):
-        if key not in payload:
-            raise InputFormatError(f"{path}: missing field '{key}'")
+def sequence_config_from_dict(payload: Any, where: str = "config") -> SequenceConfig:
+    """Parse a sequence config; growth and rng_seed take their defaults if absent."""
+    _json_object(payload, where)
     try:
-        cfg = SequenceConfig(
-            leader_degrees=tuple(payload["config"]["leader_degrees"]),
-            initial_followers=int(payload["config"]["initial_followers"]),
-            steps=int(payload["config"]["steps"]),
-            growth=str(payload["config"]["growth"]),
-            rng_seed=int(payload["config"]["rng_seed"]),
+        return SequenceConfig(
+            leader_degrees=tuple(payload["leader_degrees"]),
+            initial_followers=int(payload["initial_followers"]),
+            steps=int(payload["steps"]),
+            growth=str(payload.get("growth", "densify_edges")),
+            rng_seed=int(payload.get("rng_seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}: malformed config ({exc})") from exc
+    except KeyError as exc:
+        raise InputFormatError(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{where}: {exc}") from exc
+
+
+def load_sequence(path: str | Path) -> GraphSequence:
+    payload = _json_object(load_json(path), str(path), "config", "graphs")
+    cfg = sequence_config_from_dict(payload["config"], where=f"{path}#config")
     elements = tuple(
         graph_from_dict(item, where=f"{path}#graphs[{idx}]")
         for idx, item in enumerate(payload["graphs"])
@@ -150,6 +164,14 @@ def load_sequence(path: str | Path) -> GraphSequence:
 
 def save_sequence(path: str | Path, seq: GraphSequence) -> None:
     save_json(path, sequence_to_dict(seq))
+
+
+def load_instances(path: str | Path) -> list[tuple[str, Any]]:
+    """(name, graph payload) for a graph file, or for each graph of a sequence file."""
+    payload = _json_object(load_json(path), str(path))
+    if "graphs" not in payload:
+        return [(str(path), payload)]
+    return [(f"{path}#{idx}", item) for idx, item in enumerate(payload["graphs"])]
 
 
 # -- trajectories -------------------------------------------------------------------

@@ -241,6 +241,73 @@ class TestPipeline:
         ).read_bytes()
 
 
+def exit_code(*argv):
+    """main's return value, or the exit code of an argparse rejection."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlagRanges:
+    """A flag value outside its range exits 2 with one error line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--dim", 0],
+            ["simulate", "--dt", -1],
+            ["simulate", "--record-every", 0],
+            ["simulate", "--t-final", 0.001, "--dt", 0.01],
+            ["simulate", "--t-final", "inf"],
+            ["simulate", "--seed", -1],
+            ["identify", "--dim", 0],
+            ["identify", "--t-final", -1],
+            ["identify", "--dt", 100],
+            ["pipeline", "--dim", 0],
+            ["pipeline", "--jobs", 0],
+        ],
+        ids=lambda argv: " ".join(map(str, argv)),
+    )
+    def test_exits_two(self, tmp_path, k3_file, capsys, argv):
+        assert exit_code(*argv, k3_file, "-o", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_unparsable_number_names_its_type(self, k3_file, capsys):
+        assert exit_code("simulate", k3_file, "--dim", "two") == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
+class TestNonObjectJson:
+    """A JSON input whose top level is not an object exits 2."""
+
+    @pytest.fixture()
+    def three(self, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text("3")
+        return path
+
+    @pytest.mark.parametrize("subcommand", ["gen", "spectral", "check", "pipeline"])
+    def test_file_argument(self, tmp_path, three, capsys, subcommand):
+        assert run(subcommand, three, "-o", tmp_path) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    def test_inputs_file(self, tmp_path, k3_file, three, capsys):
+        assert run("simulate", k3_file, "--inputs", three, "-o", tmp_path) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    def test_sequence_element_is_a_row_error(self, tmp_path, dense12_file):
+        path = tmp_path / "seq.json"
+        io.save_json(path, {"graphs": [3]})
+        assert run("pipeline", path, dense12_file, "-o", tmp_path) == 1
+        rows = io.load_json(tmp_path / "pipeline_summary.json")["instances"]
+        assert "expected a JSON object" in rows[0]["error"]
+        assert rows[1]["recovered"] is True
+
+
 class TestMisc:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -264,3 +331,138 @@ class TestMisc:
     def test_gs_log_env(self, tmp_path, k3_file, monkeypatch, capsys):
         monkeypatch.setenv("GS_LOG", "debug")
         assert run("check", k3_file, "-o", tmp_path) in (0, 1)
+
+
+def manifest_of(path):
+    payload = io.load_json(path)
+    assert payload.pop("numpy_version") == np.__version__
+    return payload
+
+
+def listing(outdir):
+    return sorted(p.name for p in outdir.iterdir())
+
+
+class TestManifests:
+    """Each subcommand's output file names and manifest records, pinned."""
+
+    def test_gen(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        io.save_json(cfg, {"leader_degrees": [2, 2], "initial_followers": 6, "steps": 3})
+        out = tmp_path / "out"
+        assert run("gen", cfg, "-o", out) == 0
+        assert listing(out) == ["sequence.json", "sequence.manifest.json"]
+        assert manifest_of(out / "sequence.manifest.json") == {
+            "subcommand": "gen",
+            "tool_version": gs.__version__,
+            "rng_seed": 0,
+            "config": {
+                "leader_degrees": [2, 2],
+                "initial_followers": 6,
+                "steps": 3,
+                "growth": "densify_edges",
+                "rng_seed": 0,
+            },
+            "inputs": {"config": str(cfg)},
+            "outputs": [str(out / "sequence.json")],
+        }
+
+    @pytest.mark.parametrize("subcommand", ["spectral", "check"])
+    def test_spectral_and_check(self, tmp_path, dense12_file, subcommand):
+        out = tmp_path / "out"
+        assert run(subcommand, dense12_file, "-o", out) == 0
+        assert listing(out) == [
+            f"dense12.{subcommand}.json",
+            f"dense12.{subcommand}.manifest.json",
+        ]
+        assert manifest_of(out / f"dense12.{subcommand}.manifest.json") == {
+            "subcommand": subcommand,
+            "tool_version": gs.__version__,
+            "rng_seed": None,
+            "config": {},
+            "inputs": {"graph": str(dense12_file)},
+            "outputs": [str(out / f"dense12.{subcommand}.json")],
+        }
+
+    def test_simulate_exact_generated_inputs(self, tmp_path, k3_file):
+        out = tmp_path / "out"
+        assert run("simulate", k3_file, "--t-final", 2.0, "-o", out) == 0
+        assert listing(out) == ["k3.simulate.manifest.json", "k3.traj.csv"]
+        assert manifest_of(out / "k3.simulate.manifest.json") == {
+            "subcommand": "simulate",
+            "tool_version": gs.__version__,
+            "rng_seed": 0,
+            "config": {
+                "dimension": 2,
+                "dt": 0.01,
+                "t_final": 2.0,
+                "record_every": 1,
+                "integrator": "exact",
+                "x0": "random",
+                "generated_inputs": True,
+            },
+            "inputs": {"graph": str(k3_file), "inputs": "(generated)"},
+            "outputs": [str(out / "k3.traj.csv")],
+        }
+
+    def test_simulate_rk4_file_inputs(self, tmp_path, k3_file):
+        upath = tmp_path / "u.json"
+        io.save_json(upath, {"dimension": 1, "u": {"1": [5.0]}})
+        out = tmp_path / "out"
+        argv = ["--inputs", upath, "--integrator", "rk4", "--record-every", 7,
+                "--x0", "steady", "--t-final", 1.0, "--dt", 0.05, "--seed", 3]
+        assert run("simulate", k3_file, *argv, "-o", out) == 0
+        assert listing(out) == ["k3.simulate.manifest.json", "k3.traj.csv"]
+        assert manifest_of(out / "k3.simulate.manifest.json") == {
+            "subcommand": "simulate",
+            "tool_version": gs.__version__,
+            "rng_seed": 3,
+            "config": {
+                "dimension": 1,
+                "dt": 0.05,
+                "t_final": 1.0,
+                "record_every": 7,
+                "integrator": "rk4",
+                "x0": "steady",
+                "generated_inputs": False,
+            },
+            "inputs": {"graph": str(k3_file), "inputs": str(upath)},
+            "outputs": [str(out / "k3.traj.csv")],
+        }
+
+    @pytest.mark.parametrize("with_inputs", [False, True])
+    def test_identify(self, tmp_path, dense12_file, with_inputs):
+        upath = tmp_path / "u.json"
+        io.save_json(upath, {"dimension": 2, "u": {"1": [40.0, 35.0], "2": [16.0, 45.0]}})
+        out = tmp_path / "out"
+        argv = ["--inputs", upath] if with_inputs else []
+        assert run("identify", dense12_file, *argv, "-o", out) == 0
+        names = ["dense12.leaders.json", "dense12.tempo.csv", "dense12.traj.csv"]
+        assert listing(out) == sorted(names + ["dense12.identify.manifest.json"])
+        payload = manifest_of(out / "dense12.identify.manifest.json")
+        assert set(payload) == {
+            "subcommand", "tool_version", "rng_seed", "config", "inputs", "outputs"
+        }
+        assert set(payload["config"]) == {
+            "dimension", "dt", "t_final", "record_every", "integrator", "x0",
+            "generated_inputs",
+        }
+        assert payload["config"]["generated_inputs"] is not with_inputs
+        assert payload["inputs"] == {
+            "graph": str(dense12_file),
+            "inputs": str(upath) if with_inputs else "(generated)",
+        }
+        assert payload["outputs"] == [str(out / name) for name in names]
+
+    def test_pipeline(self, tmp_path, dense12_file, k3_file):
+        out = tmp_path / "out"
+        assert run("pipeline", dense12_file, k3_file, "--seed", 2, "-o", out) == 0
+        assert listing(out) == ["pipeline_summary.json", "pipeline_summary.manifest.json"]
+        assert manifest_of(out / "pipeline_summary.manifest.json") == {
+            "subcommand": "pipeline",
+            "tool_version": gs.__version__,
+            "rng_seed": 2,
+            "config": {"jobs": 1, "dim": 2},
+            "inputs": {"path0": str(dense12_file), "path1": str(k3_file)},
+            "outputs": [str(out / "pipeline_summary.json")],
+        }

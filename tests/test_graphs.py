@@ -111,26 +111,8 @@ class TestGroundedLaplacian:
 
 
 class TestDegrees:
-    def test_k3_follower_degree(self, k3):
-        g, p = k3
-        assert gs.follower_degree(g, p, 1) == 1  # neighbor 2 is a follower
-        assert gs.follower_degree(g, p, 0) == 2
-
-    def test_k3_leader_degree(self, k3):
-        g, p = k3
-        assert gs.leader_degree(g, p, 1) == 1
-        assert gs.leader_degree(g, p, 0) == 0
-
     def test_p2_min_follower_degree(self, p2):
         assert gs.min_follower_degree(*p2) == 0
-
-    def test_counts_are_consistent(self, ensemble):
-        for g, p in ensemble[:20]:
-            for j in range(g.n):
-                assert (
-                    gs.follower_degree(g, p, j) + gs.leader_degree(g, p, j)
-                    == g.degree(j)
-                )
 
 
 @st.composite

@@ -70,6 +70,32 @@ class TestInputFiles:
             io.load_inputs(path)
 
 
+class TestNonObjectPayloads:
+    """A JSON file whose top level is not an object is an input error."""
+
+    @pytest.mark.parametrize("payload", [3, [1, 2], None, "graph"])
+    @pytest.mark.parametrize(
+        "parse", [io.graph_from_dict, io.inputs_from_dict, io.sequence_config_from_dict]
+    )
+    def test_parsers_reject(self, parse, payload):
+        with pytest.raises(InputFormatError, match="expected a JSON object"):
+            parse(payload)
+
+    @pytest.mark.parametrize("load", [io.load_sequence, io.load_instances])
+    def test_loaders_reject(self, tmp_path, load):
+        path = tmp_path / "three.json"
+        path.write_text("3")
+        with pytest.raises(InputFormatError, match="expected a JSON object"):
+            load(path)
+
+    def test_sequence_element_rejected(self, tmp_path):
+        cfg = gs.SequenceConfig(leader_degrees=(2,), initial_followers=5, steps=1)
+        path = tmp_path / "seq.json"
+        io.save_json(path, {"config": cfg.to_json(), "graphs": [3]})
+        with pytest.raises(InputFormatError, match=r"graphs\[0\]: expected a JSON object"):
+            io.load_sequence(path)
+
+
 class TestSequenceFiles:
     def test_roundtrip(self, tmp_path):
         cfg = gs.SequenceConfig(leader_degrees=(2,), initial_followers=5, steps=3, rng_seed=8)
@@ -80,6 +106,18 @@ class TestSequenceFiles:
         assert back.config == cfg
         assert [g.edges for g, _ in back.elements] == [g.edges for g, _ in seq.elements]
         assert back.saturated == seq.saturated
+
+    def test_config_parser_defaults(self):
+        payload = {"leader_degrees": [2], "initial_followers": 5, "steps": 3}
+        assert io.sequence_config_from_dict(payload) == gs.SequenceConfig(
+            leader_degrees=(2,), initial_followers=5, steps=3, growth="densify_edges", rng_seed=0
+        )
+
+    def test_malformed_config_in_sequence_file(self, tmp_path):
+        path = tmp_path / "seq.json"
+        io.save_json(path, {"config": {"leader_degrees": [2], "steps": 3}, "graphs": []})
+        with pytest.raises(InputFormatError, match="#config: missing field 'initial_followers'"):
+            io.load_sequence(path)
 
 
 class TestTrajectoryCsv:

@@ -29,7 +29,7 @@ class TestGenerate:
         assert [g.degree(j) for j in p.leaders] == [2, 2]
         # follower subgraph is a spanning tree plus nothing else
         ff_edges = [
-            e for e in g.edges if not p.is_leader(e[0]) and not p.is_leader(e[1])
+            e for e in g.edges if e[0] not in p.leaders and e[1] not in p.leaders
         ]
         assert len(ff_edges) == len(p.followers) - 1
 
@@ -47,10 +47,10 @@ class TestGenerate:
         seq = gs.generate_sequence(small_cfg(steps=5, initial_followers=8))
         first_g, first_p = seq.elements[0]
         leader_edges = {
-            e for e in first_g.edges if first_p.is_leader(e[0]) or first_p.is_leader(e[1])
+            e for e in first_g.edges if e[0] in first_p.leaders or e[1] in first_p.leaders
         }
         for g, p in seq.elements[1:]:
-            now = {e for e in g.edges if p.is_leader(e[0]) or p.is_leader(e[1])}
+            now = {e for e in g.edges if e[0] in p.leaders or e[1] in p.leaders}
             assert now == leader_edges
 
     def test_saturation_returns_shorter_sequence(self):
