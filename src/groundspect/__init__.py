@@ -59,7 +59,6 @@ from .spectral import (
 from .tempo import (
     LeaderEstimate,
     PipelineDiagnostics,
-    TempoVector,
     estimate_fiedler,
     identify_leaders,
     relative_tempo,
@@ -83,7 +82,6 @@ __all__ = [
     "SequenceReport",
     "SimConfig",
     "SpectralResult",
-    "TempoVector",
     "Trajectory",
     "build_graph",
     "check_identifiability",

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, io
 from .dynamics import (
+    INTEGRATORS,
     RK4_STABILITY,
     ExternalInput,
     SimConfig,
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=_above(int, -1), default=0)
     run = argparse.ArgumentParser(add_help=False, parents=[graph, seeded, outdir])
     run.add_argument("--inputs", help="external-input JSON (default: random, seeded)")
-    run.add_argument("--integrator", choices=("rk4", "exact"), default="exact")
+    run.add_argument("--integrator", choices=INTEGRATORS, default="exact")
     run.add_argument("--x0", choices=("random", "steady"), default="random")
 
     def add(name: str, func, summary: str, parents: list) -> argparse.ArgumentParser:
@@ -218,6 +219,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         | {
             "measurement_time": diag.measurement_time,
             "predicted_dominance": diag.predicted_dominance,
+            "measured_dominance": diag.measured_dominance,
             "reference": diag.reference + 1,
             "angle_to_true": diag.angle_to_true,
             "recovered": diag.recovered,
@@ -362,6 +364,11 @@ def _prepare_run(args: argparse.Namespace) -> tuple[ExternalInput, SpectralResul
     """Load the graph, resolve the inputs, decompose once and choose x0."""
     g, p = io.load_graph(args.graph)
     u = io.load_inputs(args.inputs) if args.inputs else _generated_inputs(p, args.dim, args.seed)
+    if set(u.values) != set(p.leaders):  # generated inputs always cover them
+        raise InputFormatError(
+            f"{args.inputs}: input labels {sorted(i + 1 for i in u.values)} "
+            f"must be exactly the leaders {[i + 1 for i in p.leaders]}"
+        )
     spect = fiedler_pair(grounded_laplacian(g, p))
     x0 = steady_state(spect, u) if args.x0 == "steady" else _random_x0(g, u, args.seed)
     return u, spect, x0

@@ -34,6 +34,9 @@ RK4_STABILITY = 2.785
 # Fiedler-mode excitation below this relative size in every dimension makes
 # tempo estimation ill-posed.
 _EXCITATION_TOL = 1e-8
+# choose_measurement_time's dominance target and its underflow cap on lambda_F t.
+_TARGET_DOMINANCE = 1e-6
+_MAX_DECAY = 30.0
 
 INTEGRATORS = ("rk4", "exact")
 
@@ -44,26 +47,6 @@ class ExternalInput:
 
     dimension: int
     values: Mapping[int, tuple[float, ...]]
-
-    def as_matrix(self, p: Partition) -> np.ndarray:
-        """Stack input vectors in sorted-leader order; validates coverage."""
-        extra = set(self.values) - set(p.leaders)
-        missing = set(p.leaders) - set(self.values)
-        if extra or missing:
-            raise ValueError(
-                f"inputs must cover exactly the leaders; extra={sorted(extra)} "
-                f"missing={sorted(missing)}"
-            )
-        out = np.zeros((len(p.leaders), self.dimension))
-        for k, leader in enumerate(p.leaders):
-            vec = np.asarray(self.values[leader], dtype=float)
-            if vec.shape != (self.dimension,):
-                raise ValueError(
-                    f"input for leader {leader} has shape {vec.shape}, "
-                    f"expected ({self.dimension},)"
-                )
-            out[k] = vec
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -104,19 +87,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states and right-hand-side velocities, each (T, n, d).
-
-    eigenvalues is filled by both integrators; modal_coefficients
-    (<q_k, x0 - x*> per dimension) only by the exact one, and powers the
-    dominance diagnostic.
-    """
+    """Recorded states and right-hand-side velocities, each (T, n, d)."""
 
     times: np.ndarray
     states: np.ndarray
     velocities: np.ndarray
     steady: np.ndarray
-    eigenvalues: np.ndarray | None = None
-    modal_coefficients: np.ndarray | None = None
 
     def nearest_index(self, t: float) -> int:
         tol = 1e-9 * max(1.0, abs(t))
@@ -126,20 +102,6 @@ class Trajectory:
                 f"[{self.times[0]:.6g}, {self.times[-1]:.6g}]"
             )
         return int(np.abs(self.times - t).argmin())
-
-    def dominance_ratio(self, t: float) -> float | None:
-        """Largest non-slowest modal velocity amplitude over the slowest's.
-
-        Only available from the exact integrator. Small is good: the tempo
-        ratios then reflect the slowest mode alone.
-        """
-        if self.modal_coefficients is None or self.eigenvalues is None:
-            return None
-        w = self.eigenvalues
-        amp = w * np.exp(-w * t) * np.linalg.norm(self.modal_coefficients, axis=1)
-        if amp[0] == 0.0:
-            return float("inf")
-        return float(amp[1:].max() / amp[0])
 
 
 def steady_state(spect: SpectralResult, u: ExternalInput) -> np.ndarray:
@@ -210,17 +172,9 @@ def simulate(
                     raise NonFiniteStateError(f"non-finite state at step {k}")
                 states[record_set[k]] = x
         velocities = forcing - l11 @ states
-        y0 = None  # the dominance diagnostic needs the exact integrator's modes
     if not np.isfinite(states).all():
         raise NonFiniteStateError("non-finite state in trajectory")
-    return Trajectory(
-        times=times,
-        states=states,
-        velocities=velocities,
-        steady=xstar,
-        eigenvalues=w,
-        modal_coefficients=y0,
-    )
+    return Trajectory(times=times, states=states, velocities=velocities, steady=xstar)
 
 
 def measure_velocities(traj: Trajectory, t: float) -> np.ndarray:
@@ -228,36 +182,44 @@ def measure_velocities(traj: Trajectory, t: float) -> np.ndarray:
     return traj.velocities[traj.nearest_index(t)].copy()
 
 
-def choose_measurement_time(
-    spectrum: np.ndarray,
-    target_dominance: float = 1e-6,
-    max_decay: float = 30.0,
-) -> tuple[float, float]:
+def choose_measurement_time(spectrum: np.ndarray) -> tuple[float, float]:
     """Pick a measurement time for steady-state-regime velocities.
 
-    Aims for exp(-(lambda_2 - lambda_F) t) <= target_dominance while keeping
-    lambda_F * t <= max_decay so velocities do not underflow. When both
+    Aims for exp(-(lambda_2 - lambda_F) t) <= _TARGET_DOMINANCE while keeping
+    lambda_F * t <= _MAX_DECAY so velocities do not underflow. When both
     cannot hold (tiny spectral gap) the underflow cap wins and the degraded
     predicted dominance is returned alongside the time.
     """
     w = np.asarray(spectrum, dtype=float)
     lam_f = w[0]
     gap = w[1] - w[0]
-    t_cap = max_decay / lam_f
+    t_cap = _MAX_DECAY / lam_f
     if gap <= 0.0:
         return t_cap, 1.0
     # nudge past the target so rounding cannot leave the dominance an ulp high
-    t_target = np.log(1.0 / target_dominance) / gap * (1.0 + 1e-9)
+    t_target = np.log(1.0 / _TARGET_DOMINANCE) / gap * (1.0 + 1e-9)
     t = min(t_target, t_cap)
     return float(t), float(np.exp(-gap * t))
 
 
 def _forcing(p: Partition, u: ExternalInput) -> np.ndarray:
-    """-L12 y as an (n, d) array: +u_k in the k-th leader's row."""
-    umat = u.as_matrix(p)
+    """-L12 y as an (n, d) array: +u_k in the k-th leader's row, every leader's u_k given."""
+    extra = set(u.values) - set(p.leaders)
+    missing = set(p.leaders) - set(u.values)
+    if extra or missing:
+        raise ValueError(
+            f"inputs must cover exactly the leaders; extra={sorted(extra)} "
+            f"missing={sorted(missing)}"
+        )
     forcing = np.zeros((p.n, u.dimension))
-    for k, leader in enumerate(p.leaders):
-        forcing[leader] = umat[k]
+    for leader in p.leaders:
+        vec = np.asarray(u.values[leader], dtype=float)
+        if vec.shape != (u.dimension,):
+            raise ValueError(
+                f"input for leader {leader} has shape {vec.shape}, "
+                f"expected ({u.dimension},)"
+            )
+        forcing[leader] = vec
     return forcing
 
 

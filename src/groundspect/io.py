@@ -153,7 +153,7 @@ def load_sequence(path: str | Path) -> GraphSequence:
     cfg = sequence_config_from_dict(payload["config"], where=f"{path}#config")
     elements = tuple(
         graph_from_dict(item, where=f"{path}#graphs[{idx}]")
-        for idx, item in enumerate(payload["graphs"])
+        for idx, item in enumerate(_graph_list(payload, path))
     )
     if not elements:
         raise InputFormatError(f"{path}: empty sequence")
@@ -171,7 +171,13 @@ def load_instances(path: str | Path) -> list[tuple[str, Any]]:
     payload = _json_object(load_json(path), str(path))
     if "graphs" not in payload:
         return [(str(path), payload)]
-    return [(f"{path}#{idx}", item) for idx, item in enumerate(payload["graphs"])]
+    return [(f"{path}#{idx}", item) for idx, item in enumerate(_graph_list(payload, path))]
+
+
+def _graph_list(payload: dict, path: str | Path) -> list:
+    if not isinstance(payload["graphs"], list):
+        raise InputFormatError(f"{path}: 'graphs' must be a JSON list")
+    return payload["graphs"]
 
 
 # -- trajectories -------------------------------------------------------------------
@@ -222,7 +228,7 @@ def write_tempo_csv(path: str | Path, traj: Trajectory) -> None:
         fh.write(",".join(["t"] + [f"tau{i + 1}" for i in range(n)]) + _EOL)
         for t, vel in zip(traj.times.tolist(), traj.velocities):
             try:
-                _, estimate = estimate_fiedler(vel, t)
+                _, estimate = estimate_fiedler(vel)
             except GroundspectError:
                 fh.write(f"{t:.17g}" + "," * n + _EOL)
             else:

@@ -49,23 +49,12 @@ def relative_tempo(velocities: np.ndarray, i: int, j: int) -> float:
     return float(np.dot(vel[i], ref) / denom)
 
 
-@dataclass(frozen=True)
-class TempoVector:
-    """All tempos against one reference agent (entry there is exactly 1)."""
+def estimate_fiedler(velocities: np.ndarray) -> tuple[int, np.ndarray]:
+    """Normalize the tempos against a reference agent into a Fiedler estimate.
 
-    reference: int
-    values: np.ndarray
-    measurement_time: float
-
-
-def estimate_fiedler(
-    velocities: np.ndarray, measurement_time: float = float("nan")
-) -> tuple[TempoVector, np.ndarray]:
-    """Assemble the tempo vector and normalize it into a Fiedler estimate.
-
-    The reference agent is the one with the largest velocity norm, which
-    minimizes relative error amplification in the division. The estimate is
-    unit-norm with positive orientation.
+    Returns (reference, estimate). The reference agent is the one with the
+    largest velocity norm, which minimizes relative error amplification in
+    the division. The estimate is unit-norm with positive orientation.
     """
     vel = _as_2d(velocities)
     norms = np.linalg.norm(vel, axis=1)
@@ -82,10 +71,8 @@ def estimate_fiedler(
     estimate = values / np.linalg.norm(values)
     if estimate[np.abs(estimate).argmax()] < 0.0:
         estimate = -estimate
-    values.flags.writeable = False
     estimate.flags.writeable = False
-    tv = TempoVector(reference=ref, values=values, measurement_time=measurement_time)
-    return tv, estimate
+    return ref, estimate
 
 
 @dataclass(frozen=True)
@@ -151,17 +138,17 @@ class PipelineDiagnostics:
     """Ground-truth comparison and measurement bookkeeping for one run.
 
     The true partition feeds only these diagnostics, never the estimate.
+    measured_dominance is the largest non-slowest modal velocity amplitude over
+    the slowest's at measurement_time; small means the slowest mode dominates.
     """
 
     measurement_time: float
     predicted_dominance: float
-    measured_dominance: float | None
+    measured_dominance: float
     reference: int
     angle_to_true: float
     recovered: bool
-    true_leaders: tuple[int, ...]
     trajectory: Trajectory
-    tempo: TempoVector
 
 
 def run_pipeline(
@@ -178,14 +165,12 @@ def run_pipeline(
     explicit cfg caps the measurement at its own t_final (any dominance
     degradation shows up in the diagnostics).
     """
-    p_true = spect.grounded.partition
     t_meas, predicted = choose_measurement_time(spect.spectrum)
     if cfg is None:
         cfg = SimConfig(
             dimension=u.dimension,
             dt=t_meas,
             t_final=t_meas,
-            record_every=1,
             integrator="exact",
         )
     elif t_meas > cfg.t_final:
@@ -197,19 +182,21 @@ def run_pipeline(
     # the recorded grid can stop short of t_final when dt does not divide it
     idx = traj.nearest_index(min(t_meas, float(traj.times[-1])))
     snapped = float(traj.times[idx])
-    tempo_vec, estimate = estimate_fiedler(traj.velocities[idx], snapped)
+    reference, estimate = estimate_fiedler(traj.velocities[idx])
     result = identify_leaders(estimate)
 
+    # mode k's velocity amplitude at t is w_k exp(-w_k t) |<q_k, x0 - x*>|
+    w = spect.spectrum
+    modal = spect.vectors.T @ (np.asarray(x0, dtype=float) - traj.steady)
+    amp = w * np.exp(-w * snapped) * np.linalg.norm(modal, axis=1)
     diag = PipelineDiagnostics(
         measurement_time=snapped,
         predicted_dominance=predicted,
-        measured_dominance=traj.dominance_ratio(snapped),
-        reference=tempo_vec.reference,
+        measured_dominance=float("inf") if amp[0] == 0.0 else float(amp[1:].max() / amp[0]),
+        reference=reference,
         angle_to_true=vector_angle(estimate, spect.v_f),
-        recovered=result.leader_set == frozenset(p_true.leaders),
-        true_leaders=p_true.leaders,
+        recovered=result.leader_set == frozenset(spect.grounded.partition.leaders),
         trajectory=traj,
-        tempo=tempo_vec,
     )
     return result, diag
 

@@ -173,6 +173,12 @@ class TestIdentify:
         )
         assert "AllVelocitiesZero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("integrator", ["exact", "rk4"])
+    def test_writes_measured_dominance(self, tmp_path, dense12_file, integrator):
+        assert run("identify", dense12_file, "--integrator", integrator, "-o", tmp_path) == 0
+        payload = io.load_json(tmp_path / "dense12.leaders.json")
+        assert payload["measured_dominance"] <= 1e-5
+
     def test_seed_repetition_reproduces_outputs(self, tmp_path, dense12_file):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("identify", dense12_file, "--seed", 5, "-o", a) == 0
@@ -306,6 +312,40 @@ class TestNonObjectJson:
         rows = io.load_json(tmp_path / "pipeline_summary.json")["instances"]
         assert "expected a JSON object" in rows[0]["error"]
         assert rows[1]["recovered"] is True
+
+
+class TestMisfittingJson:
+    """A JSON file that parses but does not fit the run exits 2 with one error line."""
+
+    @staticmethod
+    def single_error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        return line
+
+    @pytest.mark.parametrize(
+        "u, labels",
+        [({"2": [1.0]}, "[2]"), ({"1": [1.0], "2": [1.0], "3": [1.0]}, "[1, 2, 3]")],
+        ids=["missing", "extra"],
+    )
+    @pytest.mark.parametrize("subcommand", ["identify", "simulate"])
+    def test_input_labels_not_the_leaders(
+        self, tmp_path, dense12_file, capsys, subcommand, u, labels
+    ):
+        upath = tmp_path / "u.json"
+        io.save_json(upath, {"dimension": 1, "u": u})
+        assert run(subcommand, dense12_file, "--inputs", upath, "-o", tmp_path) == 2
+        line = self.single_error_line(capsys)
+        assert str(upath) in line
+        assert f"labels {labels} must be exactly the leaders [1, 2]" in line
+
+    @pytest.mark.parametrize("graphs", [3, "abc"])
+    def test_graphs_not_a_list(self, tmp_path, capsys, graphs):
+        path = tmp_path / "seq.json"
+        io.save_json(path, {"graphs": graphs})
+        assert run("pipeline", path, "-o", tmp_path) == 2
+        assert f"{path}: 'graphs' must be a JSON list" in self.single_error_line(capsys)
 
 
 class TestMisc:

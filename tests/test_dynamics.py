@@ -178,8 +178,9 @@ class TestSimulate:
             u = one_d_input(p, float(rng.uniform(-5, 5)))
             x0 = rng.normal(size=(g.n, 1))
             cfg = gs.SimConfig(dimension=1, dt=0.02, t_final=3.0, integrator="exact")
-            traj = gs.simulate(decompose(g, p), u, x0, cfg)
-            lam_f = traj.eigenvalues[0]
+            spect = decompose(g, p)
+            traj = gs.simulate(spect, u, x0, cfg)
+            lam_f = spect.spectrum[0]
             lhs = np.linalg.norm(traj.states[-1] - traj.steady)
             rhs = np.exp(-lam_f * 3.0) * np.linalg.norm(x0 - traj.steady) + 1e-8
             assert lhs <= rhs
@@ -223,19 +224,30 @@ class TestMeasurement:
 
     def test_dominance_ratio_decays(self, dense12):
         g, p = dense12
-        rng = np.random.default_rng(31)
+        spect = decompose(g, p)
+        x0 = np.random.default_rng(31).normal(size=(g.n, 2))
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
-        traj = gs.simulate(
-            decompose(g, p), u, rng.normal(size=(g.n, 2)),
-            gs.SimConfig(dimension=2, dt=0.05, t_final=5.0, integrator="exact"),
-        )
-        assert traj.dominance_ratio(5.0) < traj.dominance_ratio(1.0)
+        dominance = [
+            gs.run_pipeline(
+                spect, u, x0, gs.SimConfig(dimension=2, dt=0.05, t_final=t, integrator="exact")
+            )[1].measured_dominance
+            for t in (1.0, 5.0)
+        ]
+        assert dominance[1] < dominance[0]
 
-    def test_dominance_unavailable_for_rk4(self, k3):
-        g, p = k3
-        cfg = gs.SimConfig(dimension=1, dt=0.01, t_final=1.0, integrator="rk4")
-        traj = gs.simulate(decompose(g, p), one_d_input(p, 1.0), np.ones((3, 1)), cfg)
-        assert traj.dominance_ratio(0.5) is None
+    def test_dominance_same_for_both_integrators(self, dense12):
+        g, p = dense12
+        spect = decompose(g, p)
+        x0 = np.random.default_rng(32).normal(size=(g.n, 2))
+        u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
+        rk4, exact = (
+            gs.run_pipeline(
+                spect, u, x0, gs.SimConfig(dimension=2, dt=0.01, t_final=1.0, integrator=name)
+            )[1].measured_dominance
+            for name in ("rk4", "exact")
+        )
+        assert isinstance(rk4, float)
+        assert rk4 == exact
 
 
 class TestMeasurementTime:

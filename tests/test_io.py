@@ -96,6 +96,16 @@ class TestNonObjectPayloads:
             io.load_sequence(path)
 
 
+    @pytest.mark.parametrize("graphs", [3, "abc"])
+    @pytest.mark.parametrize("load", [io.load_sequence, io.load_instances])
+    def test_graphs_not_a_list_rejected(self, tmp_path, load, graphs):
+        cfg = gs.SequenceConfig(leader_degrees=(2,), initial_followers=5, steps=1)
+        path = tmp_path / "seq.json"
+        io.save_json(path, {"config": cfg.to_json(), "graphs": graphs})
+        with pytest.raises(InputFormatError, match="'graphs' must be a JSON list"):
+            load(path)
+
+
 class TestSequenceFiles:
     def test_roundtrip(self, tmp_path):
         cfg = gs.SequenceConfig(leader_degrees=(2,), initial_followers=5, steps=3, rng_seed=8)
