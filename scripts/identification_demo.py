@@ -42,8 +42,7 @@ def main() -> int:
         values={l: tuple(rng.uniform(10.0, 50.0, args.dim)) for l in p.leaders},
     )
     x0 = rng.normal(size=(g.n, args.dim))
-    spect = gs.fiedler_pair(gs.grounded_laplacian(g, p))
-    estimate, diag = gs.run_pipeline(spect, u, x0)
+    estimate, diag = gs.run_pipeline(report.spectral, u, x0)
 
     print(
         f"measured at t={diag.measurement_time:.2f} "
@@ -53,7 +52,7 @@ def main() -> int:
     found = sorted(i + 1 for i in estimate.leader_set)
     print(
         f"identified leaders = {found}  (gap {estimate.gap_size:.4f} after "
-        f"sorted position {estimate.gap_index})"
+        f"sorted position {estimate.n_leaders})"
     )
     print(
         f"estimate angle to true Fiedler vector: {diag.angle_to_true:.2e} rad; "

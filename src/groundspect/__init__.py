@@ -34,7 +34,6 @@ from .identifiability import (
     limiting_fiedler_vector,
     limiting_leader_entry,
     scale_optimal_distance,
-    separation_margin,
     separation_quantities,
 )
 from .sequences import (
@@ -106,7 +105,6 @@ __all__ = [
     "run_pipeline",
     "scale_optimal_distance",
     "semi_normalized_adjacency",
-    "separation_margin",
     "separation_quantities",
     "simulate",
     "steady_state",

@@ -2,10 +2,12 @@
 
 In densely connected follower subgraphs the Fiedler vector of the grounded
 Laplacian approaches a simple profile: 1 on followers and
-deg/(deg + 1 - lambda_F) on leaders. The margin by which the largest leader
-entry stays below 1, compared against the distance of the true Fiedler
-vector from that profile, certifies that the leader entries separate from
-the follower entries — which is exactly what the sorted-gap detector needs.
+deg/(deg + 1 - lambda_F) on leaders. One separation test, the follower/leader
+gap against the within-leader spread, is applied to that profile and to the
+computed Fiedler vector. On the profile it gives the margin epsilon_d; the
+certificate holds when the vector stays within epsilon_d/4 of the profile and
+its own leader entries separate from its follower entries, which is exactly
+what the sorted-gap detector needs.
 """
 
 from __future__ import annotations
@@ -47,20 +49,6 @@ def limiting_fiedler_vector(g: Graph, p: Partition, lambda_f: float) -> np.ndarr
     return entries
 
 
-def separation_margin(
-    g: Graph, p: Partition, lambda_f: float, exclude_self: bool = False
-) -> float:
-    """Margin 1 - max_j phi(j) - max_j min_k |phi(j) - phi(k)| over leaders.
-
-    phi(j) is the limiting leader entry for leader j's degree. The inner
-    minimum ranges over all leaders k including k = j, which zeroes the
-    second term; pass exclude_self=True for the nearest-other-leader
-    variant (0 when only one leader exists).
-    """
-    phis = [limiting_leader_entry(g.degree(j), lambda_f) for j in p.leaders]
-    return 1.0 - max(phis) - _max_min_pair_distance(np.asarray(phis), exclude_self)
-
-
 def scale_optimal_distance(v_f: np.ndarray, target: np.ndarray) -> float:
     """Euclidean distance from the best positive rescaling of v_f to target.
 
@@ -80,32 +68,26 @@ def separation_quantities(v_f: np.ndarray, p: Partition) -> tuple[float, float]:
     """
     v = np.asarray(v_f, dtype=float)
     leaders = v[list(p.leaders)]
-    followers = v[list(p.followers)]
-    lhs = float(followers.min() - leaders.max())
-    rhs = _max_min_pair_distance(leaders, exclude_self=True)
-    return lhs, rhs
-
-
-def _max_min_pair_distance(values: np.ndarray, exclude_self: bool) -> float:
-    if not exclude_self or values.size == 1:
-        return 0.0
-    dist = np.abs(values[:, None] - values[None, :])
+    gap = float(v[list(p.followers)].min() - leaders.max())
+    if leaders.size == 1:
+        return gap, 0.0
+    dist = np.abs(leaders[:, None] - leaders[None, :])
     np.fill_diagonal(dist, np.inf)
-    return float(dist.min(axis=1).max())
+    return gap, float(dist.min(axis=1).max())
 
 
 @dataclass(frozen=True)
 class IdentifiabilityReport:
     """All certificate inputs plus the combined verdict.
 
-    ``epsilon_d`` follows the self-inclusive reading of the inner minimum
-    (second term always 0) and ``epsilon_d_nearest`` the k != j reading, so
-    both are inspectable. ``separated`` is the combined certificate: all four
-    conditions hold and the follower/leader gap in the computed Fiedler
-    vector (``separation_lhs``) exceeds the within-leader spread
-    (``separation_rhs_nearest``, nearest-other-leader reading). ``spectral``
-    is the decomposition the report was computed from, for later layers to
-    reuse; it is left out of comparisons, repr and ``to_json``.
+    ``epsilon_d`` is the limiting profile's follower/leader gap, 1 minus the
+    largest limiting leader entry, and ``epsilon_d_nearest`` subtracts the
+    profile's within-leader spread from it. ``separated`` is the combined
+    certificate: all four conditions hold and the follower/leader gap in the
+    computed Fiedler vector (``separation_lhs``) exceeds its within-leader
+    spread (``separation_rhs_nearest``). ``spectral`` is the decomposition
+    the report was computed from, for later layers to reuse; it is left out
+    of comparisons, repr and ``to_json``.
     """
 
     connected: bool
@@ -153,9 +135,9 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
     result = fiedler_pair(grounded_laplacian(g, p))
     lam = result.lambda_f
 
-    eps_d = separation_margin(g, p, lam)
-    eps_d_nearest = separation_margin(g, p, lam, exclude_self=True)
-    eps = scale_optimal_distance(result.v_f, limiting_fiedler_vector(g, p, lam))
+    limit = limiting_fiedler_vector(g, p, lam)
+    eps_d, spread = separation_quantities(limit, p)
+    eps = scale_optimal_distance(result.v_f, limit)
     lhs, rhs_nearest = separation_quantities(result.v_f, p)
 
     condition_iii = eps_d > 0.0
@@ -172,7 +154,7 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
         leaders_nonadjacent=nonadjacent,
         lambda_f=lam,
         epsilon_d=eps_d,
-        epsilon_d_nearest=eps_d_nearest,
+        epsilon_d_nearest=eps_d - spread,
         epsilon=eps,
         condition_iii_holds=condition_iii,
         condition_iv_holds=condition_iv,

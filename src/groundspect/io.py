@@ -52,6 +52,13 @@ def _json_object(payload: Any, where: str, *keys: str) -> dict:
     return payload
 
 
+def _json_int(value: Any, name: str = "node label") -> int:
+    """value if it is a JSON integer; a boolean, a fraction or a string raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+
+
 # -- graphs ---------------------------------------------------------------------
 
 def graph_to_dict(g: Graph, p: Partition) -> dict:
@@ -65,9 +72,9 @@ def graph_to_dict(g: Graph, p: Partition) -> dict:
 def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partition]:
     _json_object(payload, where, "n", "edges", "leaders")
     try:
-        n = int(payload["n"])
-        edges = [(int(i) - 1, int(j) - 1) for i, j in payload["edges"]]
-        leaders = [int(i) - 1 for i in payload["leaders"]]
+        n = _json_int(payload["n"], "n")
+        edges = [(_json_int(i) - 1, _json_int(j) - 1) for i, j in payload["edges"]]
+        leaders = [_json_int(i) - 1 for i in payload["leaders"]]
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: malformed entry ({exc})") from exc
     try:
@@ -93,7 +100,7 @@ def inputs_from_dict(payload: Any, where: str = "inputs") -> ExternalInput:
     if "dimension" not in payload or "u" not in payload:
         raise InputFormatError(f"{where}: expected fields 'dimension' and 'u'")
     try:
-        dim = int(payload["dimension"])
+        dim = _json_int(payload["dimension"], "dimension")
         labels = {label: int(label) for label in payload["u"]}
         values = {
             node - 1: tuple(float(x) for x in payload["u"][label])
@@ -136,11 +143,11 @@ def sequence_config_from_dict(payload: Any, where: str = "config") -> SequenceCo
     _json_object(payload, where)
     try:
         return SequenceConfig(
-            leader_degrees=tuple(payload["leader_degrees"]),
-            initial_followers=int(payload["initial_followers"]),
-            steps=int(payload["steps"]),
+            leader_degrees=tuple(_json_int(d, "leader degree") for d in payload["leader_degrees"]),
+            initial_followers=_json_int(payload["initial_followers"], "initial_followers"),
+            steps=_json_int(payload["steps"], "steps"),
             growth=str(payload.get("growth", "densify_edges")),
-            rng_seed=int(payload.get("rng_seed", 0)),
+            rng_seed=_json_int(payload.get("rng_seed", 0), "rng_seed"),
         )
     except KeyError as exc:
         raise InputFormatError(f"{where}: missing field {exc}") from exc

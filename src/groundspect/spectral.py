@@ -1,7 +1,9 @@
 """Grounded-Laplacian spectral analysis, and a reference eigensolver.
 
-Every command path decomposes with LAPACK on one BLAS thread: at the dense n
-of a few hundred used here a second thread only adds synchronisation.
+Every command path decomposes with LAPACK on one BLAS thread, because
+``pipeline --jobs`` workers would otherwise contend for the cores: unpinned,
+two workers on a 2-core host batch small graphs at half the rate. In one
+process, one and two threads are within about 30% at n = 23-400.
 ``eig_symmetric`` is an independent cyclic Jacobi solver, the reference that
 the ``oracle`` command and the tests compare LAPACK against. Every sweep
 visits all index pairs once, organized round-robin so each round rotates a
@@ -211,7 +213,6 @@ class SemiNormalizedAdjacency:
 
     matrix: np.ndarray
     scaling: np.ndarray  # diagonal entries of the scaling matrix
-    lambda_f: float
 
 
 def semi_normalized_adjacency(
@@ -230,7 +231,7 @@ def semi_normalized_adjacency(
     matrix = a / scaling[:, None]
     matrix.flags.writeable = False
     scaling.flags.writeable = False
-    return SemiNormalizedAdjacency(matrix=matrix, scaling=scaling, lambda_f=lambda_f)
+    return SemiNormalizedAdjacency(matrix=matrix, scaling=scaling)
 
 
 @dataclass(frozen=True)

@@ -79,15 +79,14 @@ def estimate_fiedler(velocities: np.ndarray) -> tuple[int, np.ndarray]:
 class LeaderEstimate:
     """Sorted-gap detection output.
 
-    gap_index is the 1-based position in the ascending sort after which the
-    largest consecutive gap occurs; it equals n_leaders. tie_flagged marks
-    near-equal values straddling the cut (resolved by original index order).
+    The largest consecutive gap of the ascending sort follows its first
+    n_leaders values. tie_flagged marks near-equal values straddling the cut
+    (resolved by original index order).
     """
 
     n_leaders: int
     leader_set: frozenset[int]
     sorted_values: np.ndarray
-    gap_index: int
     gap_size: float
     tie_flagged: bool = False
 
@@ -96,7 +95,6 @@ class LeaderEstimate:
             "n_leaders": self.n_leaders,
             "leaders": sorted(i + 1 for i in self.leader_set),
             "sorted_values": [float(x) for x in self.sorted_values],
-            "gap_index": self.gap_index,
             "gap_size": self.gap_size,
             "tie_flagged": self.tie_flagged,
         }
@@ -127,7 +125,6 @@ def identify_leaders(estimate: np.ndarray) -> LeaderEstimate:
         n_leaders=n_leaders,
         leader_set=frozenset(int(i) for i in order[:n_leaders]),
         sorted_values=sorted_values,
-        gap_index=n_leaders,
         gap_size=float(gaps[cut]),
         tie_flagged=bool(gaps[cut] <= _DEGENERATE_TOL),
     )

@@ -347,6 +347,47 @@ class TestMisfittingJson:
         assert run("pipeline", path, "-o", tmp_path) == 2
         assert f"{path}: 'graphs' must be a JSON list" in self.single_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"n": 3.9, "edges": [[1.5, 2], [2, 3]], "leaders": [True]}, "n must be an integer, got 3.9"),
+            ({"n": 3, "edges": [[1.5, 2], [2, 3]], "leaders": [1]}, "label must be an integer, got 1.5"),
+            ({"n": 3, "edges": [[1, 2], [2, 3]], "leaders": [True]}, "label must be an integer, got true"),
+            ({"n": "3", "edges": [[1, 2], [2, 3]], "leaders": [1]}, 'n must be an integer, got "3"'),
+        ],
+        ids=["float-n", "float-label", "bool-leader", "string-n"],
+    )
+    def test_graph_integers_not_truncated(self, tmp_path, capsys, graph, message):
+        path = tmp_path / "g.json"
+        io.save_json(path, graph)
+        assert run("check", path, "-o", tmp_path) == 2
+        assert message in self.single_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("leader_degrees", [2.7], "leader degree must be an integer, got 2.7"),
+            ("initial_followers", 5.5, "initial_followers must be an integer, got 5.5"),
+            ("steps", 2.2, "steps must be an integer, got 2.2"),
+            ("rng_seed", True, "rng_seed must be an integer, got true"),
+            ("rng_seed", -1, "rng_seed must be >= 0"),
+        ],
+        ids=["fraction-degree", "fraction-followers", "fraction-steps", "bool-seed", "negative-seed"],
+    )
+    def test_config_integers_checked(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "config.json"
+        config = {"leader_degrees": [2], "initial_followers": 5, "steps": 2, field: value}
+        io.save_json(path, config)
+        assert run("gen", path, "-o", tmp_path) == 2
+        assert message in self.single_error_line(capsys)
+        assert not (tmp_path / "sequence.json").exists()
+
+    def test_fractional_input_dimension(self, tmp_path, dense12_file, capsys):
+        upath = tmp_path / "u.json"
+        io.save_json(upath, {"dimension": 2.5, "u": {"1": [1.0, 2.0], "2": [3.0, 4.0]}})
+        assert run("identify", dense12_file, "--inputs", upath, "-o", tmp_path) == 2
+        assert "dimension must be an integer, got 2.5" in self.single_error_line(capsys)
+
 
 class TestMisc:
     def test_version_flag(self, capsys):

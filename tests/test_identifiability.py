@@ -61,35 +61,36 @@ class TestLimitingVector:
             gs.limiting_fiedler_vector(g, p, 0.5)
 
 
+def limit_separation(g, p, lam):
+    """(epsilon_d, within-leader spread): the separation test on the limiting profile."""
+    return gs.separation_quantities(gs.limiting_fiedler_vector(g, p, lam), p)
+
+
 class TestSeparationMargin:
     def test_k3_single_leader(self, k3):
-        margin = gs.separation_margin(*k3, K3_LAMBDA)
+        margin, _ = limit_separation(*k3, K3_LAMBDA)
         assert margin == pytest.approx(1.0 - 2.0 / (1.0 + np.sqrt(3.0)), abs=1e-12)
 
     def test_single_leader_second_term_vanishes(self, k3):
-        assert gs.separation_margin(*k3, K3_LAMBDA) == gs.separation_margin(
-            *k3, K3_LAMBDA, exclude_self=True
-        )
+        assert limit_separation(*k3, K3_LAMBDA)[1] == 0.0
 
     def test_equal_degree_leaders(self):
-        # both leaders degree 2: nearest-phi distance 0 in either reading
+        # both leaders degree 2: nearest-other-leader distance 0
         g, p = gs.dense_follower_instance(6, (2, 2))
         lam = 0.3
         phi = gs.limiting_leader_entry(2, lam)
-        assert gs.separation_margin(g, p, lam) == pytest.approx(1.0 - phi)
-        assert gs.separation_margin(g, p, lam, exclude_self=True) == pytest.approx(
-            1.0 - phi
-        )
+        margin, spread = limit_separation(g, p, lam)
+        assert margin == pytest.approx(1.0 - phi)
+        assert margin - spread == pytest.approx(1.0 - phi)
 
     def test_self_inclusive_reading_drops_second_term(self):
         g, p = gs.dense_follower_instance(8, (2, 4))
         lam = 0.25
         phi2 = gs.limiting_leader_entry(2, lam)
         phi4 = gs.limiting_leader_entry(4, lam)
-        assert gs.separation_margin(g, p, lam) == pytest.approx(1.0 - phi4)
-        assert gs.separation_margin(g, p, lam, exclude_self=True) == pytest.approx(
-            1.0 - phi4 - (phi4 - phi2)
-        )
+        margin, spread = limit_separation(g, p, lam)
+        assert margin == pytest.approx(1.0 - phi4)
+        assert margin - spread == pytest.approx(1.0 - phi4 - (phi4 - phi2))
 
 
 class TestScaleOptimalDistance:
@@ -188,9 +189,9 @@ class TestCheckIdentifiability:
         rep = gs.check_identifiability(g, p)
         r = gs.fiedler_pair(gs.grounded_laplacian(g, p))
         assert rep.lambda_f == r.lambda_f
-        assert rep.epsilon_d == pytest.approx(
-            gs.separation_margin(g, p, r.lambda_f)
-        )
+        margin, spread = limit_separation(g, p, r.lambda_f)
+        assert rep.epsilon_d == pytest.approx(margin)
+        assert rep.epsilon_d_nearest == pytest.approx(margin - spread)
         assert rep.epsilon == pytest.approx(
             gs.scale_optimal_distance(
                 r.v_f, gs.limiting_fiedler_vector(g, p, r.lambda_f)

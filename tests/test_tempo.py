@@ -117,7 +117,6 @@ class TestIdentifyLeaders:
         assert result.n_leaders == 3
         assert sorted(i + 1 for i in result.leader_set) == [2, 4, 8]
         assert result.gap_size == pytest.approx(0.3232 - 0.2661, abs=1e-12)
-        assert result.gap_index == 3
 
     def test_constructed_gap(self):
         delta = 1e-3
@@ -144,7 +143,6 @@ class TestIdentifyLeaders:
         scaled = gs.identify_leaders(c * RECORDED_ESTIMATE)
         assert scaled.n_leaders == result.n_leaders
         assert scaled.leader_set == result.leader_set
-        assert scaled.gap_index == result.gap_index
 
     def test_json_uses_one_based_labels(self):
         payload = gs.identify_leaders(RECORDED_ESTIMATE).to_json()
