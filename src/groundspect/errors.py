@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer rule that the
+config and file parsers share."""
+
+import json
+import numbers
 
 
 class GroundspectError(Exception):
@@ -97,3 +101,11 @@ class DegenerateEstimateError(GroundspectError):
 class NonGenericInitialConditionWarning(UserWarning):
     """The initial condition has (numerically) no component along the
     slowest mode in any dimension; tempo ratios will not converge to it."""
+
+
+def as_int(value: object, name: str = "node label") -> int:
+    """value as an int if it is an integer; a bool, a fraction or a string raises
+    ValueError, which shows the value as JSON where it has a JSON form."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")

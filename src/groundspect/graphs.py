@@ -1,14 +1,17 @@
 """Undirected graphs, leader/follower partitions, and the grounded Laplacian.
 
-Node indices are 0-based and dense (0..n-1). All edge weights are 1; matrices
-are dense float arrays with exact integer entries, so row-sum identities can
-be asserted without tolerance.
+Node indices are 0-based and dense (0..n-1). All edge weights are 1. A Graph
+holds its edges twice, built once by build_graph: as the sorted tuple of
+canonical pairs that files are written from, and as a read-only boolean
+adjacency matrix that every graph-level quantity reads. Matrices built from
+it are dense float arrays with exact integer entries, so row-sum identities
+can be asserted without tolerance.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,70 +29,64 @@ NodeId = int
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with canonical (i < j) edge tuples."""
+    """Simple undirected graph on the nodes 0..n-1.
+
+    ``edges`` is the sorted tuple of canonical (i < j) pairs; ``adjacency`` is
+    the read-only n x n boolean matrix of the same edges. Degrees, the grounded
+    Laplacian, the semi-normalized adjacency, connectivity and the partition
+    checks read ``adjacency``. Equality and hashing use (n, edges) only.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...]
+    adjacency: np.ndarray = field(compare=False, repr=False)
 
     def degree(self, i: NodeId) -> int:
-        return len(self.neighbors[i])
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
-
-    def laplacian_matrix(self) -> np.ndarray:
-        a = self.adjacency_matrix()
-        return np.diag(a.sum(axis=1)) - a
+        return int(self.adjacency[i].sum())
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
     Rejects self-loops, duplicate pairs (in either order), and endpoints
-    outside [0, n).
+    outside [0, n). The first offending edge in input order is reported,
+    checked for range, then self-loop, then duplicate.
     """
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes, got n={n}")
-    seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for pair in edges:
-        i, j = int(pair[0]), int(pair[1])
+    edges = list(edges)
+    if not set(map(len, edges)) <= {2}:
+        raise ValueError("every edge must be a pair of node indices")
+    try:
+        flat = np.fromiter(chain.from_iterable(edges), np.int64)
+    except OverflowError:  # beyond int64 is out of range, as -1 is
+        flat = np.array([x if abs(x) <= n else -1 for x in map(int, chain.from_iterable(edges))])
+    lo, hi = np.minimum(flat[0::2], flat[1::2]), np.maximum(flat[0::2], flat[1::2])
+    keys, first = np.unique(lo * n + hi, return_index=True)
+    repeated = np.ones(len(edges), dtype=bool)
+    repeated[first] = False
+    offending = (lo < 0) | (hi >= n) | (lo == hi) | repeated
+    if offending.any():
+        i, j = map(int, edges[int(offending.argmax())])
         if not (0 <= i < n) or not (0 <= j < n):
             raise IndexOutOfRangeError(f"edge ({i},{j}) outside [0,{n})")
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
-        e = (i, j) if i < j else (j, i)
-        if e in seen:
-            raise DuplicateEdgeError(f"duplicate edge {e}")
-        seen.add(e)
-        adj[e[0]].append(e[1])
-        adj[e[1]].append(e[0])
-    return Graph(
-        n=n,
-        edges=tuple(sorted(seen)),
-        neighbors=tuple(tuple(sorted(nb)) for nb in adj),
-    )
+        raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[lo, hi] = adjacency[hi, lo] = True
+    adjacency.flags.writeable = False
+    canonical = zip((keys // n).tolist(), (keys % n).tolist())
+    return Graph(n=n, edges=tuple(canonical), adjacency=adjacency)
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        i = queue.popleft()
-        for j in g.neighbors[i]:
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                queue.append(j)
-    return count == g.n
+    """Breadth-first reachability of every node from node 0, a frontier at a time."""
+    reached = frontier = np.arange(g.n) == 0
+    while frontier.any():
+        frontier = g.adjacency[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    return bool(reached.all())
 
 
 @dataclass(frozen=True)
@@ -135,21 +132,17 @@ def grounded_laplacian(g: Graph, p: Partition) -> GroundedLaplacian:
     """L(G) + diag(1 on leader rows, 0 on follower rows)."""
     if p.n != g.n:
         raise ValueError(f"partition is over {p.n} nodes, graph has {g.n}")
-    m = g.laplacian_matrix()
-    for i in p.leaders:
-        m[i, i] += 1.0
+    a = g.adjacency
+    m = np.diag(a.sum(axis=1) + p.leader_indicator()) - a
     m.flags.writeable = False
     return GroundedLaplacian(matrix=m, partition=p)
 
 
 def min_follower_degree(g: Graph, p: Partition) -> int:
     """Minimum follower-follower degree over the follower set."""
-    leaders = set(p.leaders)
-    nbs = g.neighbors
-    return min(len(nbs[j]) - len(leaders.intersection(nbs[j])) for j in p.followers)
+    return int(g.adjacency[np.ix_(p.followers, p.followers)].sum(axis=1).min())
 
 
 def leaders_nonadjacent(g: Graph, p: Partition) -> bool:
     """True iff no edge joins two leaders."""
-    leaders = set(p.leaders)
-    return all(leaders.isdisjoint(g.neighbors[j]) for j in p.leaders)
+    return not g.adjacency[np.ix_(p.leaders, p.leaders)].any()

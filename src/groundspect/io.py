@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import ExternalInput, Trajectory
-from .errors import GroundspectError, InputFormatError
+from .errors import GroundspectError, InputFormatError, as_int
 from .graphs import Graph, Partition, build_graph, make_partition
 from .sequences import GraphSequence, SequenceConfig
 from .tempo import estimate_fiedler
@@ -52,11 +53,12 @@ def _json_object(payload: Any, where: str, *keys: str) -> dict:
     return payload
 
 
-def _json_int(value: Any, name: str = "node label") -> int:
-    """value if it is a JSON integer; a boolean, a fraction or a string raises ValueError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+def _label_int(label: Any) -> int:
+    """A node label written as a JSON object key: ASCII decimal digits only, with
+    no sign, space or leading zero, so that two keys never name one node."""
+    if isinstance(label, str) and re.fullmatch(r"0|[1-9][0-9]*", label):
+        return int(label)
+    raise ValueError(f"node label must be a decimal integer, got {json.dumps(label)}")
 
 
 # -- graphs ---------------------------------------------------------------------
@@ -72,9 +74,9 @@ def graph_to_dict(g: Graph, p: Partition) -> dict:
 def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partition]:
     _json_object(payload, where, "n", "edges", "leaders")
     try:
-        n = _json_int(payload["n"], "n")
-        edges = [(_json_int(i) - 1, _json_int(j) - 1) for i, j in payload["edges"]]
-        leaders = [_json_int(i) - 1 for i in payload["leaders"]]
+        n = as_int(payload["n"], "n")
+        edges = [(as_int(i) - 1, as_int(j) - 1) for i, j in payload["edges"]]
+        leaders = [as_int(i) - 1 for i in payload["leaders"]]
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: malformed entry ({exc})") from exc
     try:
@@ -100,8 +102,8 @@ def inputs_from_dict(payload: Any, where: str = "inputs") -> ExternalInput:
     if "dimension" not in payload or "u" not in payload:
         raise InputFormatError(f"{where}: expected fields 'dimension' and 'u'")
     try:
-        dim = _json_int(payload["dimension"], "dimension")
-        labels = {label: int(label) for label in payload["u"]}
+        dim = as_int(payload["dimension"], "dimension")
+        labels = {label: _label_int(label) for label in payload["u"]}
         values = {
             node - 1: tuple(float(x) for x in payload["u"][label])
             for label, node in labels.items()
@@ -143,11 +145,11 @@ def sequence_config_from_dict(payload: Any, where: str = "config") -> SequenceCo
     _json_object(payload, where)
     try:
         return SequenceConfig(
-            leader_degrees=tuple(_json_int(d, "leader degree") for d in payload["leader_degrees"]),
-            initial_followers=_json_int(payload["initial_followers"], "initial_followers"),
-            steps=_json_int(payload["steps"], "steps"),
+            leader_degrees=tuple(payload["leader_degrees"]),
+            initial_followers=payload["initial_followers"],
+            steps=payload["steps"],
             growth=str(payload.get("growth", "densify_edges")),
-            rng_seed=_json_int(payload.get("rng_seed", 0), "rng_seed"),
+            rng_seed=payload.get("rng_seed", 0),
         )
     except KeyError as exc:
         raise InputFormatError(f"{where}: missing field {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleConfigError
+from .errors import InfeasibleConfigError, as_int
 from .graphs import (
     Graph,
     Partition,
@@ -37,7 +37,9 @@ class SequenceConfig:
     """Recipe for one graph family.
 
     steps is the total number of elements; growth="add_nodes_and_edges"
-    inserts one new follower per element before densifying.
+    inserts one new follower per element before densifying. The counts and
+    the seed must be integers (numpy's included, stored as int); a bool or a
+    fraction raises ValueError instead of being truncated.
     """
 
     leader_degrees: tuple[int, ...]
@@ -47,7 +49,10 @@ class SequenceConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "leader_degrees", tuple(int(d) for d in self.leader_degrees))
+        degrees = tuple(as_int(d, "leader degree") for d in self.leader_degrees)
+        object.__setattr__(self, "leader_degrees", degrees)
+        for name in ("initial_followers", "steps", "rng_seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not self.leader_degrees or any(d < 1 for d in self.leader_degrees):
             raise ValueError("leader_degrees must be a non-empty list of positive ints")
         if self.initial_followers < 1:

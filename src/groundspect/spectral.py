@@ -219,7 +219,7 @@ def semi_normalized_adjacency(
     g: Graph, p: Partition, lambda_f: float
 ) -> SemiNormalizedAdjacency:
     """Row-rescaled adjacency whose Perron eigenvalue is 1 at the true lambda_F."""
-    a = g.adjacency_matrix()
+    a = g.adjacency
     deg = a.sum(axis=1)
     scaling = deg + p.leader_indicator() - lambda_f
     if scaling.min() <= 0.0:

@@ -354,8 +354,9 @@ class TestMisfittingJson:
             ({"n": 3, "edges": [[1.5, 2], [2, 3]], "leaders": [1]}, "label must be an integer, got 1.5"),
             ({"n": 3, "edges": [[1, 2], [2, 3]], "leaders": [True]}, "label must be an integer, got true"),
             ({"n": "3", "edges": [[1, 2], [2, 3]], "leaders": [1]}, 'n must be an integer, got "3"'),
+            ({"n": 3, "edges": [[1, 2], [2, 2**70]], "leaders": [1]}, f"(1,{2**70 - 1}) outside"),
         ],
-        ids=["float-n", "float-label", "bool-leader", "string-n"],
+        ids=["float-n", "float-label", "bool-leader", "string-n", "beyond-int64-label"],
     )
     def test_graph_integers_not_truncated(self, tmp_path, capsys, graph, message):
         path = tmp_path / "g.json"
@@ -388,6 +389,21 @@ class TestMisfittingJson:
         assert run("identify", dense12_file, "--inputs", upath, "-o", tmp_path) == 2
         assert "dimension must be an integer, got 2.5" in self.single_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "u, label",
+        [
+            ({" +1 ": [1.0], "2": [2.0]}, '" +1 "'),
+            ({"1": [1.0], "\u0662": [2.0]}, '"\\u0662"'),
+            ({"01": [1.0], "1": [2.0], "2": [3.0]}, '"01"'),
+        ],
+        ids=["sign-and-spaces", "arabic-indic-digit", "leading-zero"],
+    )
+    def test_input_labels_canonical(self, tmp_path, dense12_file, capsys, u, label):
+        upath = tmp_path / "u.json"
+        io.save_json(upath, {"dimension": 1, "u": u})
+        assert run("identify", dense12_file, "--inputs", upath, "-o", tmp_path) == 2
+        line = self.single_error_line(capsys)
+        assert f"node label must be a decimal integer, got {label}" in line
 
 class TestMisc:
     def test_version_flag(self, capsys):

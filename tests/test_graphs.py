@@ -1,5 +1,7 @@
 """Graph construction, partitions, and grounded-Laplacian assembly."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from groundspect.errors import (
     DuplicateEdgeError,
     EmptyFollowerSetError,
     EmptyLeaderSetError,
+    GroundspectError,
     IndexOutOfRangeError,
     SelfLoopError,
 )
@@ -19,7 +22,7 @@ class TestBuildGraph:
     def test_p2(self):
         g = gs.build_graph(2, [(0, 1)])
         assert g.edges == ((0, 1),)
-        assert g.neighbors == ((1,), (0,))
+        assert g.adjacency.tolist() == [[False, True], [True, False]]
 
     def test_k3(self):
         g = gs.build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -41,6 +44,14 @@ class TestBuildGraph:
             gs.build_graph(3, [(0, 3)])
         with pytest.raises(IndexOutOfRangeError):
             gs.build_graph(3, [(-1, 0)])
+
+    def test_pairs_only(self):
+        with pytest.raises(ValueError, match="pair of node indices"):
+            gs.build_graph(3, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="pair of node indices"):
+            gs.build_graph(3, [(0, 1), (2,)])
+        with pytest.raises(ValueError, match="pair of node indices"):
+            gs.build_graph(3, [(0, 1, 2), (1,)])  # lengths sum to two pairs
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -100,7 +111,8 @@ class TestGroundedLaplacian:
 
     def test_difference_from_laplacian_is_leader_diag(self, ensemble):
         for g, p in ensemble[:20]:
-            diff = gs.grounded_laplacian(g, p).matrix - g.laplacian_matrix()
+            a = g.adjacency.astype(float)
+            diff = gs.grounded_laplacian(g, p).matrix - (np.diag(a.sum(axis=1)) - a)
             assert np.count_nonzero(diff - np.diag(np.diag(diff))) == 0
             assert np.trace(diff) == len(p.leaders)
 
@@ -129,9 +141,9 @@ def test_neighbor_symmetry(case):
     n, edges = case
     g = gs.build_graph(n, edges)
     for i in range(n):
-        for j in g.neighbors[i]:
-            assert i in g.neighbors[j]
-        assert g.degree(i) == len(g.neighbors[i])
+        for j in np.flatnonzero(g.adjacency[i]):
+            assert g.adjacency[j, i]
+        assert g.degree(i) == np.count_nonzero(g.adjacency[i])
     assert len(g.edges) == len(edges)
 
 
@@ -140,7 +152,89 @@ def test_neighbor_symmetry(case):
 def test_adjacency_matches_edges(case):
     n, edges = case
     g = gs.build_graph(n, edges)
-    a = g.adjacency_matrix()
+    a = g.adjacency
     assert (a == a.T).all()
     assert a.sum() == 2 * len(edges)
-    assert np.trace(a) == 0.0
+    assert np.trace(a) == 0
+
+
+def reference_edges(n, edges):
+    """The per-edge validation loop that build_graph's whole-array pass replaced."""
+    seen = set()
+    for pair in edges:
+        i, j = int(pair[0]), int(pair[1])
+        if not (0 <= i < n) or not (0 <= j < n):
+            raise IndexOutOfRangeError(f"edge ({i},{j}) outside [0,{n})")
+        if i == j:
+            raise SelfLoopError(f"self-loop at node {i}")
+        e = (i, j) if i < j else (j, i)
+        if e in seen:
+            raise DuplicateEdgeError(f"duplicate edge {e}")
+        seen.add(e)
+    return tuple(sorted(seen))
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Valid edge lists, each pair in either order, with up to two faults
+    inserted anywhere: an out-of-range endpoint (beyond int64 too), a
+    self-loop (out of range too), or a repeat of a listed pair in either order."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    node = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(
+            st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+            max_size=3 * n,
+            unique_by=lambda e: (min(e), max(e)),
+        )
+    )
+    outside = st.sampled_from([-1, n, n + 3, 2**63, -(2**70)])
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["range", "self", "repeat"]))
+        if kind == "range":
+            fault = draw(st.permutations([draw(outside), draw(node)]))
+        elif kind == "self" or not pairs:
+            fault = [draw(st.one_of(node, outside))] * 2
+        else:
+            fault = draw(st.permutations(draw(st.sampled_from(pairs))))
+        pairs.insert(draw(st.integers(0, len(pairs))), tuple(fault))
+    leaders = draw(st.sets(node, min_size=1, max_size=n - 1))
+    return n, pairs, leaders
+
+
+@settings(max_examples=200)
+@given(raw_edge_lists())
+def test_build_graph_matches_per_edge_reference(case):
+    n, pairs, leaders = case
+    try:
+        expected = reference_edges(n, pairs)
+    except GroundspectError as exc:
+        with pytest.raises(GroundspectError) as info:
+            gs.build_graph(n, pairs)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    g = gs.build_graph(n, pairs)
+    assert g.edges == expected
+    assert all(type(x) is int for e in g.edges for x in e)
+    twin = gs.build_graph(n, [(j, i) for i, j in reversed(pairs)])
+    assert g == twin and hash(g) == hash(twin)
+    a = g.adjacency
+    assert a.dtype == bool and a.shape == (n, n) and not a.flags.writeable
+    assert (a == a.T).all() and not a.diagonal().any()
+    assert np.count_nonzero(a) == 2 * len(expected)
+
+    nbrs = [set() for _ in range(n)]
+    for i, j in expected:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    reached, queue = {0}, deque([0])
+    while queue:
+        for j in nbrs[queue.popleft()] - reached:
+            reached.add(j)
+            queue.append(j)
+    assert gs.is_connected(g) == (len(reached) == n)
+    p = gs.make_partition(n, leaders)
+    assert gs.min_follower_degree(g, p) == min(len(nbrs[j] - leaders) for j in p.followers)
+    assert gs.leaders_nonadjacent(g, p) == all(nbrs[j].isdisjoint(leaders) for j in leaders)
+    assert [g.degree(i) for i in range(n)] == [len(nb) for nb in nbrs]

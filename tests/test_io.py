@@ -69,6 +69,15 @@ class TestInputFiles:
         with pytest.raises(InputFormatError, match="1-based"):
             io.load_inputs(path)
 
+    @pytest.mark.parametrize(
+        "u",
+        [{" +1 ": [1.0], "\u0662": [2.0]}, {"01": [1.0], "1": [2.0]}, {"1 ": [1.0]}, {"-1": [1.0]}],
+    )
+    def test_non_canonical_labels_rejected(self, u):
+        # each key names one node, so no input is read under another label or dropped
+        with pytest.raises(InputFormatError, match="node label must be a decimal integer"):
+            io.inputs_from_dict({"dimension": 1, "u": u})
+
 
 class TestNonObjectPayloads:
     """A JSON file whose top level is not an object is an input error."""

@@ -19,6 +19,34 @@ def small_cfg(**kw):
     return gs.SequenceConfig(**base)
 
 
+class TestConfigIntegers:
+    """The Python API refuses what the JSON parser refuses, instead of truncating."""
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"leader_degrees": (2.7,)}, "leader degree must be an integer, got 2.7"),
+            ({"leader_degrees": (True, 2)}, "leader degree must be an integer, got true"),
+            ({"initial_followers": 5.5, "steps": 2.5}, "initial_followers must be an integer"),
+            ({"steps": 2.0}, "steps must be an integer, got 2.0"),
+            ({"rng_seed": 1.5}, "rng_seed must be an integer, got 1.5"),
+            ({"rng_seed": False}, "rng_seed must be an integer, got false"),
+        ],
+    )
+    def test_non_integers_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            small_cfg(**kw)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = small_cfg(
+            leader_degrees=(np.int64(2), 2), initial_followers=np.int32(4), rng_seed=np.uint64(3)
+        )
+        assert cfg == small_cfg()
+        ints = (*cfg.leader_degrees, cfg.initial_followers, cfg.steps, cfg.rng_seed)
+        assert all(type(x) is int for x in ints)
+        assert json.dumps(cfg.to_json())
+
+
 class TestGenerate:
     def test_single_element_contract(self):
         seq = gs.generate_sequence(small_cfg())
