@@ -41,14 +41,13 @@ def main() -> int:
         )
         seq = gs.generate_sequence(cfg)
         for idx, (g, p) in enumerate(seq.elements):
-            r = gs.fiedler_pair(gs.grounded_laplacian(g, p))
-            vbar = gs.limiting_fiedler_vector(g, p, r.lambda_f)
-            eps = gs.scale_optimal_distance(r.v_f, vbar)
-            adj = gs.semi_normalized_adjacency(g, p, r.lambda_f)
+            report = gs.check_identifiability(g, p)
+            vbar = gs.limiting_fiedler_vector(g, p, report.lambda_f)
+            adj = gs.semi_normalized_adjacency(g, p, report.lambda_f)
             residual = float(np.abs(adj.matrix @ vbar - vbar).max())
             writer.writerow(
-                [k, idx, g.n, gs.min_follower_degree(g, p),
-                 f"{r.lambda_f:.6f}", f"{eps:.6f}", f"{residual:.6f}"]
+                [k, idx, g.n, report.min_follower_degree, f"{report.lambda_f:.6f}",
+                 f"{report.epsilon:.6f}", f"{residual:.6f}"]
             )
     return 0
 

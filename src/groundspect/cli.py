@@ -113,13 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", type=_above(float, 0), help="horizon (default: certified time)")
     p.add_argument("--dt", type=_above(float, 0), help="grid step (default: horizon/512)")
 
-    p = add(
+    add(
         "oracle", _cmd_oracle, "cross-check LAPACK vs Jacobi and data-driven paths", [graph, seeded]
-    )
-    p.add_argument(
-        "--debug-tamper-vf",
-        action="store_true",
-        help="perturb the Fiedler vector before comparison (negative control)",
     )
 
     p = add("pipeline", _cmd_pipeline, "batch check + identify", [seeded, outdir])
@@ -203,12 +198,9 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     u, spect, x0 = _prepare_run(args)
     t_meas, _ = choose_measurement_time(spect.spectrum)
     t_final = args.t_final if args.t_final is not None else t_meas
-    if args.dt is not None:
-        dt = args.dt
-    elif args.integrator == "exact":
-        dt = t_final / 512.0
-    else:
-        dt = min(t_final / 512.0, 0.5 * RK4_STABILITY / spect.spectrum[-1])
+    dt = args.dt if args.dt is not None else t_final / 512.0
+    if args.dt is None and args.integrator == "rk4":
+        dt = min(dt, 0.5 * RK4_STABILITY / spect.spectrum[-1])
     cfg = _sim_config(u, dt, t_final, 1, args.integrator)
     estimate, diag = run_pipeline(spect, u, x0, cfg)
 
@@ -249,10 +241,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     lam_err = abs(result.lambda_f - w[0])
     vec_err = float(np.abs(result.v_f - v_ref / np.linalg.norm(v_ref)).max())
 
-    v_true = result.v_f.copy()
-    if args.debug_tamper_vf:
-        v_true[p.leaders[0]] += 0.5  # negative control: push a leader entry up
-    true_set = identify_leaders(v_true).leader_set
+    true_set = identify_leaders(result.v_f).leader_set
 
     u = _generated_inputs(p, args.dim, args.seed)
     x0 = _random_x0(g, u, args.seed)
@@ -266,8 +255,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         and angle <= _ORACLE_ANGLE_TOL
         and sets_equal
     )
-    if args.debug_tamper_vf:
-        print("(Fiedler vector tampered for negative control)")
     print(f"lambda_F discrepancy      : {lam_err:.3e}")
     print(f"v_F discrepancy (max abs) : {vec_err:.3e}")
     print(f"estimate angle to v_F     : {angle:.3e} rad")

@@ -14,8 +14,9 @@ suffers once the transient has decayed ~14 orders of magnitude.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     NonGenericInitialConditionWarning,
     TimeOutOfRangeError,
     UnstableStepError,
+    as_int,
 )
 from .graphs import Partition
 from .spectral import SpectralResult
@@ -64,25 +66,22 @@ class SimConfig:
     integrator: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        for name in ("dimension", "record_every"):
+            value = as_int(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_final)):
+            raise ValueError("dt and t_final must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_final < self.dt:
             raise ValueError("t_final must be >= dt")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
 
     def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "dt": self.dt,
-            "t_final": self.t_final,
-            "record_every": self.record_every,
-            "integrator": self.integrator,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,16 +130,14 @@ def simulate(
 
     w, q = spect.spectrum, spect.vectors
     xstar = steady_state(spect, u)
-    _warn_if_nongeneric(q[:, 0], x0 - xstar)
+    y0 = q.T @ (x0 - xstar)  # (n, d) modal coefficients
+    _warn_if_nongeneric(y0)
 
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
-    record = list(range(0, n_steps, cfg.record_every))
-    if record[-1] != n_steps:
-        record.append(n_steps)
+    record = list(range(0, n_steps, cfg.record_every)) + [n_steps]
     times = np.array([k * cfg.dt for k in record])
 
     if cfg.integrator == "exact":
-        y0 = q.T @ (x0 - xstar)  # (n, d) modal coefficients
         modal = np.exp(-np.outer(times, w))[:, :, None] * y0  # (T, n, d)
         states = q @ modal
         states += xstar
@@ -158,9 +155,7 @@ def simulate(
         rhs = lambda x: forcing - l11 @ x
         states = np.empty((len(record), n, cfg.dimension))
         record_set = {k: idx for idx, k in enumerate(record)}
-        x = x0.copy()
-        if 0 in record_set:
-            states[record_set[0]] = x
+        x = states[0] = x0  # the record always starts at step 0
         for k in range(1, n_steps + 1):
             k1 = rhs(x)
             k2 = rhs(x + 0.5 * cfg.dt * k1)
@@ -223,12 +218,13 @@ def _forcing(p: Partition, u: ExternalInput) -> np.ndarray:
     return forcing
 
 
-def _warn_if_nongeneric(v_slow: np.ndarray, offset: np.ndarray) -> None:
-    norms = np.linalg.norm(offset, axis=0)
+def _warn_if_nongeneric(y0: np.ndarray) -> None:
+    # Q is orthonormal, so y0's column norms are those of x0 - x*
+    norms = np.linalg.norm(y0, axis=0)
     live = norms > 0.0
     if not live.any():
         return  # started at the equilibrium; nothing to warn about
-    ratios = np.abs(v_slow @ offset[:, live]) / norms[live]
+    ratios = np.abs(y0[0, live]) / norms[live]
     if (ratios < _EXCITATION_TOL).all():
         warnings.warn(
             "initial condition has no slowest-mode component in any dimension",

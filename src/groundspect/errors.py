@@ -2,7 +2,7 @@
 config and file parsers share."""
 
 import json
-import numbers
+import operator
 
 
 class GroundspectError(Exception):
@@ -106,6 +106,9 @@ class NonGenericInitialConditionWarning(UserWarning):
 def as_int(value: object, name: str = "node label") -> int:
     """value as an int if it is an integer; a bool, a fraction or a string raises
     ValueError, which shows the value as JSON where it has a JSON form."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
     raise ValueError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")

@@ -22,6 +22,7 @@ from .errors import (
     EmptyLeaderSetError,
     IndexOutOfRangeError,
     SelfLoopError,
+    as_int,
 )
 
 NodeId = int
@@ -108,7 +109,7 @@ class Partition:
 
 def make_partition(n: int, leaders: Iterable[NodeId]) -> Partition:
     """Build a validated Partition from a leader set."""
-    leader_set = {int(i) for i in leaders}
+    leader_set = {as_int(i, "leader") for i in leaders}
     if not leader_set:
         raise EmptyLeaderSetError("at least one leader is required")
     for i in leader_set:

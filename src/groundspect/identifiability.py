@@ -12,7 +12,7 @@ what the sorted-gap detector needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,18 +106,9 @@ class IdentifiabilityReport:
 
     def to_json(self) -> dict:
         return {
-            "connected": self.connected,
-            "leaders_nonadjacent": self.leaders_nonadjacent,
-            "lambda_F": self.lambda_f,
-            "epsilon_d": self.epsilon_d,
-            "epsilon_d_nearest": self.epsilon_d_nearest,
-            "epsilon": self.epsilon,
-            "condition_iii_holds": self.condition_iii_holds,
-            "condition_iv_holds": self.condition_iv_holds,
-            "separation_lhs": self.separation_lhs,
-            "separation_rhs_nearest": self.separation_rhs_nearest,
-            "separated": self.separated,
-            "min_follower_degree": self.min_follower_degree,
+            "lambda_F" if f.name == "lambda_f" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.compare
         }
 
 

@@ -12,7 +12,7 @@ so identical configs produce bit-identical families on any platform.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,13 +65,7 @@ class SequenceConfig:
             raise ValueError(f"growth must be one of {GROWTH_MODES}")
 
     def to_json(self) -> dict:
-        return {
-            "leader_degrees": list(self.leader_degrees),
-            "initial_followers": self.initial_followers,
-            "steps": self.steps,
-            "growth": self.growth,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,7 @@ def random_connected_graph(
                 edges.add((i, j))
     leaders = rng.choice(n, size=n_leaders, replace=False)
     g = build_graph(n, sorted(edges))
-    return g, make_partition(n, (int(i) for i in leaders))
+    return g, make_partition(n, leaders)
 
 
 def random_ensemble(

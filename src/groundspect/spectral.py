@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -244,12 +244,7 @@ class PerronReport:
     spectral_gap: float  # largest minus second-largest eigenvalue
 
     def to_json(self) -> dict:
-        return {
-            "spectral_radius": self.spectral_radius,
-            "radius_error": self.radius_error,
-            "alignment_error": self.alignment_error,
-            "spectral_gap": self.spectral_gap,
-        }
+        return asdict(self)
 
 
 def verify_perron(adj: SemiNormalizedAdjacency, v_f: np.ndarray) -> PerronReport:

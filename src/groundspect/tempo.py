@@ -39,14 +39,7 @@ def relative_tempo(velocities: np.ndarray, i: int, j: int) -> float:
     projection ratio <xdot_i, xdot_j> / <xdot_j, xdot_j>, which reduces to
     the same number when all velocities are parallel (the late-time regime).
     """
-    vel = _as_2d(velocities)
-    ref = vel[j]
-    denom = float(np.dot(ref, ref))
-    if not denom > _ZERO_GUARD:
-        raise ZeroReferenceVelocityError(f"agent {j} has zero velocity")
-    if i == j:
-        return 1.0
-    return float(np.dot(vel[i], ref) / denom)
+    return float(_tempos(_as_2d(velocities), j)[i])
 
 
 def estimate_fiedler(velocities: np.ndarray) -> tuple[int, np.ndarray]:
@@ -63,11 +56,7 @@ def estimate_fiedler(velocities: np.ndarray) -> tuple[int, np.ndarray]:
             "all velocities are zero: measured at equilibrium (x0 = x* or t too large)"
         )
     ref = int(norms.argmax())
-    denom = float(vel[ref] @ vel[ref])
-    if not denom > _ZERO_GUARD:  # the norm is representable but its square underflows
-        raise ZeroReferenceVelocityError(f"agent {ref} has zero velocity")
-    values = (vel @ vel[ref]) / denom  # relative_tempo(vel, i, ref) for every i
-    values[ref] = 1.0
+    values = _tempos(vel, ref)
     estimate = values / np.linalg.norm(values)
     if estimate[np.abs(estimate).argmax()] < 0.0:
         estimate = -estimate
@@ -135,8 +124,10 @@ class PipelineDiagnostics:
     """Ground-truth comparison and measurement bookkeeping for one run.
 
     The true partition feeds only these diagnostics, never the estimate.
-    measured_dominance is the largest non-slowest modal velocity amplitude over
-    the slowest's at measurement_time; small means the slowest mode dominates.
+    Both dominance numbers are taken at measurement_time t: the predicted one
+    is exp(-(lambda_2 - lambda_F) t), the measured one the largest non-slowest
+    modal velocity amplitude over the slowest's. Small means the slowest mode
+    dominates.
     """
 
     measurement_time: float
@@ -154,29 +145,20 @@ def run_pipeline(
     x0: np.ndarray,
     cfg: SimConfig | None = None,
 ) -> tuple[LeaderEstimate, PipelineDiagnostics]:
-    """Simulate, measure at a dominance-certified time, estimate, identify.
+    """Simulate, measure once, estimate, identify.
 
     spect is the decomposition of the true grounded Laplacian; its partition
-    feeds only the diagnostics. With cfg=None an exact-integrator config is
-    derived that records only t=0 and the certified measurement time; an
-    explicit cfg caps the measurement at its own t_final (any dominance
-    degradation shows up in the diagnostics).
+    feeds only the diagnostics. The run is measured at one time, the recorded
+    time nearest the certified one, and both dominance numbers are taken
+    there. With cfg=None an exact-integrator config is derived that records
+    only t=0 and the certified time; an explicit cfg's recorded grid caps the
+    measurement at its last row (any dominance degradation shows up in the
+    diagnostics).
     """
-    t_meas, predicted = choose_measurement_time(spect.spectrum)
+    t_meas, _ = choose_measurement_time(spect.spectrum)
     if cfg is None:
-        cfg = SimConfig(
-            dimension=u.dimension,
-            dt=t_meas,
-            t_final=t_meas,
-            integrator="exact",
-        )
-    elif t_meas > cfg.t_final:
-        t_meas = cfg.t_final
-        gap = spect.spectrum[1] - spect.spectrum[0]
-        predicted = float(np.exp(-gap * t_meas))
-
+        cfg = SimConfig(u.dimension, dt=t_meas, t_final=t_meas, integrator="exact")
     traj = simulate(spect, u, x0, cfg)
-    # the recorded grid can stop short of t_final when dt does not divide it
     idx = traj.nearest_index(min(t_meas, float(traj.times[-1])))
     snapped = float(traj.times[idx])
     reference, estimate = estimate_fiedler(traj.velocities[idx])
@@ -188,7 +170,7 @@ def run_pipeline(
     amp = w * np.exp(-w * snapped) * np.linalg.norm(modal, axis=1)
     diag = PipelineDiagnostics(
         measurement_time=snapped,
-        predicted_dominance=predicted,
+        predicted_dominance=float(np.exp(-(w[1] - w[0]) * snapped)),
         measured_dominance=float("inf") if amp[0] == 0.0 else float(amp[1:].max() / amp[0]),
         reference=reference,
         angle_to_true=vector_angle(estimate, spect.v_f),
@@ -205,6 +187,17 @@ def vector_angle(a: np.ndarray, b: np.ndarray) -> float:
         return float("nan")
     cosine = np.clip(abs(float(np.dot(a, b))) / (na * nb), 0.0, 1.0)
     return float(np.arccos(cosine))
+
+
+def _tempos(vel: np.ndarray, j: int) -> np.ndarray:
+    """Every agent's relative tempo against agent j; agent j's own is exactly 1."""
+    ref = vel[j]
+    denom = float(ref @ ref)
+    if not denom > _ZERO_GUARD:  # zero, or so small that its square underflows
+        raise ZeroReferenceVelocityError(f"agent {j} has zero velocity")
+    values = (vel @ ref) / denom
+    values[j] = 1.0
+    return values
 
 
 def _as_2d(velocities: np.ndarray) -> np.ndarray:

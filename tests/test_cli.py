@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import groundspect as gs
-from groundspect import io
+from groundspect import cli, io
 from groundspect.cli import main
 
 from conftest import K3_LAMBDA
@@ -179,6 +179,15 @@ class TestIdentify:
         payload = io.load_json(tmp_path / "dense12.leaders.json")
         assert payload["measured_dominance"] <= 1e-5
 
+    def test_dominance_predicted_at_the_measured_time(self, tmp_path, dense12_file, dense12):
+        # dt = 0.77 puts no recorded time on the certified time 5.24; 7 * 0.77 is nearest
+        assert run("identify", dense12_file, "--dt", 0.77, "-o", tmp_path) == 0
+        payload = io.load_json(tmp_path / "dense12.leaders.json")
+        w = gs.fiedler_pair(gs.grounded_laplacian(*dense12)).spectrum
+        t = payload["measurement_time"]
+        assert t == pytest.approx(5.39)
+        assert payload["predicted_dominance"] == np.exp(-(w[1] - w[0]) * t)
+
     def test_seed_repetition_reproduces_outputs(self, tmp_path, dense12_file):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("identify", dense12_file, "--seed", 5, "-o", a) == 0
@@ -192,9 +201,22 @@ class TestOracle:
         assert run("oracle", dense12_file) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_tampered_vector_reported(self, dense12_file, capsys):
-        assert run("oracle", dense12_file, "--debug-tamper-vf") == 1
+    def test_tampered_vector_reported(self, dense12_file, dense12, monkeypatch, capsys):
+        # negative control: the spectral side cuts a v_F whose first leader
+        # entry is pushed up by 0.5
+        leader = dense12[1].leaders[0]
+
+        def tampered(v_f):
+            v = np.array(v_f)
+            v[leader] += 0.5
+            return gs.identify_leaders(v)
+
+        monkeypatch.setattr(cli, "identify_leaders", tampered)
+        assert run("oracle", dense12_file) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_tamper_option_is_gone(self, dense12_file):
+        assert exit_code("oracle", dense12_file, "--debug-tamper-vf") == 2
 
     def test_k3_lambda_discrepancy_tiny(self, k3_file, capsys):
         assert run("oracle", k3_file) == 0

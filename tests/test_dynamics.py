@@ -51,6 +51,27 @@ class TestSteadyState:
             gs.steady_state(decompose(g, p), gs.ExternalInput(dimension=1, values={1: (1.0,)}))
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", float("nan")),
+            ("t_final", float("nan")),
+            ("t_final", float("inf")),
+            ("dimension", 1.5),
+            ("dimension", True),
+            ("record_every", 2.5),
+        ],
+    )
+    def test_rejects_what_simulate_cannot_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            gs.SimConfig(**{field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = gs.SimConfig(dimension=np.int64(2), record_every=np.int32(3))
+        assert type(cfg.dimension) is int and type(cfg.record_every) is int
+
+
 class TestSimulate:
     def test_p2_converges_to_steady_state(self, p2):
         g, p = p2

@@ -87,6 +87,15 @@ class TestPartition:
         assert p.leaders == (1, 3)
         assert p.followers == (0, 2, 4)
 
+    @pytest.mark.parametrize("label", [0.7, True, "1", np.bool_(True)], ids=repr)
+    def test_non_integer_leader_rejected(self, label):
+        with pytest.raises(ValueError, match="leader must be an integer"):
+            gs.make_partition(3, [label])
+
+    def test_numpy_integer_leader_stored_as_int(self):
+        p = gs.make_partition(3, [np.int64(2)])
+        assert p.leaders == (2,) and type(p.leaders[0]) is int
+
 
 class TestGroundedLaplacian:
     def test_p2_single_leader(self, p2):

@@ -196,22 +196,25 @@ class TestRunPipeline:
         with pytest.raises(AllVelocitiesZeroError):
             gs.run_pipeline(spect, u, xstar)
 
-    def test_explicit_config_caps_measurement(self, dense12):
+    @pytest.mark.parametrize(
+        "dt, t_final, expected",
+        [
+            (0.01, 1.0, 1.0),  # the horizon caps the certified time (5.24)
+            (0.3, 1.0, 0.9),  # dt = 0.3 leaves the last recorded time short of t_final
+            (0.77, 20.0, 5.39),  # the grid misses the certified time; 7 * 0.77 is nearest
+        ],
+    )
+    def test_measures_on_the_recorded_grid(self, dense12, dt, t_final, expected):
         g, p = dense12
-        rng = np.random.default_rng(14)
+        spect = decompose(g, p)
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
-        cfg = gs.SimConfig(dimension=2, dt=0.01, t_final=1.0, integrator="exact")
-        _, diag = gs.run_pipeline(decompose(g, p), u, rng.normal(size=(g.n, 2)), cfg)
-        assert diag.measurement_time <= 1.0 + 1e-9
-
-    def test_grid_not_dividing_horizon(self, dense12):
-        # dt = 0.3 leaves the last recorded time short of t_final
-        g, p = dense12
-        rng = np.random.default_rng(15)
-        u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
-        cfg = gs.SimConfig(dimension=2, dt=0.3, t_final=1.0, integrator="exact")
-        _, diag = gs.run_pipeline(decompose(g, p), u, rng.normal(size=(g.n, 2)), cfg)
-        assert diag.measurement_time == pytest.approx(0.9)
+        x0 = np.random.default_rng(15).normal(size=(g.n, 2))
+        cfg = gs.SimConfig(dimension=2, dt=dt, t_final=t_final, integrator="exact")
+        _, diag = gs.run_pipeline(spect, u, x0, cfg)
+        assert diag.measurement_time == pytest.approx(expected)
+        gap = spect.spectrum[1] - spect.spectrum[0]
+        # both dominance numbers are taken at the time actually measured
+        assert diag.predicted_dominance == np.exp(-gap * diag.measurement_time)
 
     def test_estimator_consistency_in_time(self):
         # angle to the true vector is non-increasing across the certified
