@@ -39,7 +39,6 @@ from .identifiability import (
 from .sequences import (
     GraphSequence,
     SequenceConfig,
-    SequenceReport,
     dense_follower_instance,
     generate_sequence,
     random_connected_graph,
@@ -78,7 +77,6 @@ __all__ = [
     "PipelineDiagnostics",
     "SemiNormalizedAdjacency",
     "SequenceConfig",
-    "SequenceReport",
     "SimConfig",
     "SpectralResult",
     "Trajectory",

@@ -39,7 +39,7 @@ from .errors import FiedlerOutOfRangeError, GroundspectError, InputFormatError
 from .graphs import Graph, Partition, grounded_laplacian, is_connected
 from .identifiability import check_identifiability
 from .sequences import generate_sequence
-from .spectral import SpectralResult, eig_symmetric, fiedler_pair
+from .spectral import SpectralResult, _unit_positive, eig_symmetric, fiedler_pair
 from .spectral import semi_normalized_adjacency, verify_perron
 from .tempo import identify_leaders, run_pipeline
 
@@ -205,18 +205,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     estimate, diag = run_pipeline(spect, u, x0, cfg)
 
     leaders_out, traj_out, tempo_out = _outputs(args, "leaders.json", "traj.csv", "tempo.csv")
-    io.save_json(
-        leaders_out,
-        estimate.to_json()
-        | {
-            "measurement_time": diag.measurement_time,
-            "predicted_dominance": diag.predicted_dominance,
-            "measured_dominance": diag.measured_dominance,
-            "reference": diag.reference + 1,
-            "angle_to_true": diag.angle_to_true,
-            "recovered": diag.recovered,
-        },
-    )
+    io.save_json(leaders_out, estimate.to_json() | diag.to_json())
     io.write_trajectory_csv(traj_out, diag.trajectory)
     io.write_tempo_csv(tempo_out, diag.trajectory)
     _run_manifest(args, cfg, [leaders_out, traj_out, tempo_out])
@@ -234,12 +223,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     L = grounded_laplacian(g, p)
     result = fiedler_pair(L)
     w, vecs = eig_symmetric(L.matrix)
-    v_ref = vecs[:, 0].copy()
-    if v_ref[np.abs(v_ref).argmax()] < 0.0:
-        v_ref = -v_ref
-
     lam_err = abs(result.lambda_f - w[0])
-    vec_err = float(np.abs(result.v_f - v_ref / np.linalg.norm(v_ref)).max())
+    vec_err = float(np.abs(result.v_f - _unit_positive(vecs[:, 0])).max())
 
     true_set = identify_leaders(result.v_f).leader_set
 

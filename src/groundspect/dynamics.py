@@ -163,8 +163,6 @@ def simulate(
             k4 = rhs(x + cfg.dt * k3)
             x = x + (cfg.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if k in record_set:
-                if not np.isfinite(x).all():
-                    raise NonFiniteStateError(f"non-finite state at step {k}")
                 states[record_set[k]] = x
         velocities = forcing - l11 @ states
     if not np.isfinite(states).all():

@@ -1,7 +1,10 @@
 """File formats: graph/input/sequence JSON, trajectory and tempo CSV, manifests.
 
-Node labels are 1-based in every file to match the reporting convention;
-the conversion to the 0-based internal indices happens here and only here.
+Node labels are 1-based in every file to match the reporting convention.
+Parsing them into the 0-based internal indices happens here and only here;
+labels are written back by the writers here, by the to_json of
+LeaderEstimate, PipelineDiagnostics and ExternalInput, and in the CLI's
+messages.
 All writers are deterministic (sorted keys, fixed float formatting), so a
 rerun with the same resolved config reproduces files byte for byte within
 one numpy/BLAS build.
@@ -82,7 +85,7 @@ def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partitio
     try:
         g = build_graph(n, edges)
         p = make_partition(n, leaders)
-    except GroundspectError as exc:
+    except (GroundspectError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
     return g, p
 
@@ -98,9 +101,7 @@ def save_graph(path: str | Path, g: Graph, p: Partition) -> None:
 # -- external inputs --------------------------------------------------------------
 
 def inputs_from_dict(payload: Any, where: str = "inputs") -> ExternalInput:
-    _json_object(payload, where)
-    if "dimension" not in payload or "u" not in payload:
-        raise InputFormatError(f"{where}: expected fields 'dimension' and 'u'")
+    _json_object(payload, where, "dimension", "u")
     try:
         dim = as_int(payload["dimension"], "dimension")
         labels = {label: _label_int(label) for label in payload["u"]}

@@ -12,7 +12,7 @@ so identical configs produce bit-identical families on any platform.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -164,28 +164,16 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
     return GraphSequence(elements=tuple(elements), config=cfg, saturated=saturated)
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    """Per-property outcome of validate_sequence.
+def validate_sequence(seq: GraphSequence) -> dict[str, int]:
+    """Check the five family properties element by element.
 
-    failures maps each failed property name to the first offending element
-    index; a property absent from it held on every element.
+    Returns each failed property's name mapped to its first failing element
+    index; an empty dict means every property held on every element.
     """
-
-    failures: dict[str, int] = field(default_factory=dict)
-
-    def all_hold(self) -> bool:
-        return not self.failures
-
-
-def validate_sequence(seq: GraphSequence) -> SequenceReport:
-    """Check the five family properties element by element."""
     if not seq.elements:
         raise ValueError("empty sequence")
     failures: dict[str, int] = {}
-
-    def fail(name: str, index: int) -> None:
-        failures.setdefault(name, index)
+    fail = failures.setdefault  # keeps each property's first failing index
 
     first_g, first_p = seq.elements[0]
     base_degrees = [first_g.degree(j) for j in first_p.leaders]
@@ -204,7 +192,7 @@ def validate_sequence(seq: GraphSequence) -> SequenceReport:
             fail("min_follower_degree_increasing", idx)
         prev_min = current
 
-    return SequenceReport(failures=failures)
+    return failures
 
 
 def random_connected_graph(

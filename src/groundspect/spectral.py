@@ -189,9 +189,7 @@ def fiedler_pair(grounded: GroundedLaplacian) -> SpectralResult:
     with _one_blas_thread():
         w, vecs = np.linalg.eigh(grounded.matrix)
     lam = float(w[0])
-    v = vecs[:, 0].copy()
-    if v[np.abs(v).argmax()] < 0.0:
-        v = -v
+    v = _unit_positive(vecs[:, 0])
     if lam <= 1e-12 or lam >= 1.0:
         raise FiedlerOutOfRangeError(
             f"smallest eigenvalue {lam:.6g} outside (0,1); graph disconnected "
@@ -201,10 +199,15 @@ def fiedler_pair(grounded: GroundedLaplacian) -> SpectralResult:
         raise SignIndefiniteError(
             f"Fiedler vector has mixed signs (min entry {v.min():.3e})"
         )
-    v /= np.linalg.norm(v)
     for array in (v, w, vecs):
         array.flags.writeable = False
     return SpectralResult(lambda_f=lam, v_f=v, spectrum=w, vectors=vecs, grounded=grounded)
+
+
+def _unit_positive(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit Euclidean norm, its largest-magnitude entry made positive."""
+    u = v / np.linalg.norm(v)
+    return -u if u[np.abs(u).argmax()] < 0.0 else u
 
 
 @dataclass(frozen=True)

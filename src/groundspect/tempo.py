@@ -10,7 +10,7 @@ follower entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     DegenerateEstimateError,
     ZeroReferenceVelocityError,
 )
-from .spectral import SpectralResult
+from .spectral import SpectralResult, _unit_positive
 
 _ZERO_GUARD = 1e-300
 _DEGENERATE_TOL = 1e-12
@@ -57,9 +57,7 @@ def estimate_fiedler(velocities: np.ndarray) -> tuple[int, np.ndarray]:
         )
     ref = int(norms.argmax())
     values = _tempos(vel, ref)
-    estimate = values / np.linalg.norm(values)
-    if estimate[np.abs(estimate).argmax()] < 0.0:
-        estimate = -estimate
+    estimate = _unit_positive(values)
     estimate.flags.writeable = False
     return ref, estimate
 
@@ -136,7 +134,11 @@ class PipelineDiagnostics:
     reference: int
     angle_to_true: float
     recovered: bool
-    trajectory: Trajectory
+    trajectory: Trajectory = field(compare=False, repr=False)
+
+    def to_json(self) -> dict:
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return record | {"reference": self.reference + 1}  # a 1-based label
 
 
 def run_pipeline(

@@ -15,6 +15,9 @@ from groundspect.cli import main
 
 from conftest import K3_LAMBDA
 
+# A graph file that parses but has too few nodes for any graph.
+ONE_NODE = {"n": 1, "edges": [], "leaders": [1]}
+
 
 @pytest.fixture()
 def dense12_file(tmp_path, dense12):
@@ -164,6 +167,15 @@ class TestIdentify:
         payload = io.load_json(out / "dense12.leaders.json")
         assert payload["leaders"] == [1, 2]
         assert payload["recovered"] is True
+        assert set(payload) == {
+            "n_leaders", "leaders", "sorted_values", "gap_size", "tie_flagged",
+            "measurement_time", "predicted_dominance", "measured_dominance",
+            "reference", "angle_to_true", "recovered",
+        }  # README's list
+        # the reference is the 1-based label of the fastest agent at the measured time
+        times, _, velocities = io.read_trajectory_csv(out / "dense12.traj.csv")
+        fastest = np.linalg.norm(velocities[times == payload["measurement_time"]][0], axis=1)
+        assert payload["reference"] == int(fastest.argmax()) + 1
         assert (out / "dense12.traj.csv").exists()
         assert (out / "dense12.tempo.csv").exists()
 
@@ -327,12 +339,17 @@ class TestNonObjectJson:
         assert run("simulate", k3_file, "--inputs", three, "-o", tmp_path) == 2
         assert "expected a JSON object" in capsys.readouterr().err
 
-    def test_sequence_element_is_a_row_error(self, tmp_path, dense12_file):
+    @pytest.mark.parametrize(
+        "element, message",
+        [(3, "expected a JSON object"), (ONE_NODE, "graph needs at least 2 nodes, got n=1")],
+        ids=["not-an-object", "one-node"],
+    )
+    def test_sequence_element_is_a_row_error(self, tmp_path, dense12_file, element, message):
         path = tmp_path / "seq.json"
-        io.save_json(path, {"graphs": [3]})
+        io.save_json(path, {"graphs": [element]})
         assert run("pipeline", path, dense12_file, "-o", tmp_path) == 1
         rows = io.load_json(tmp_path / "pipeline_summary.json")["instances"]
-        assert "expected a JSON object" in rows[0]["error"]
+        assert message in rows[0]["error"]
         assert rows[1]["recovered"] is True
 
 
@@ -377,8 +394,9 @@ class TestMisfittingJson:
             ({"n": 3, "edges": [[1, 2], [2, 3]], "leaders": [True]}, "label must be an integer, got true"),
             ({"n": "3", "edges": [[1, 2], [2, 3]], "leaders": [1]}, 'n must be an integer, got "3"'),
             ({"n": 3, "edges": [[1, 2], [2, 2**70]], "leaders": [1]}, f"(1,{2**70 - 1}) outside"),
+            (ONE_NODE, "graph needs at least 2 nodes, got n=1"),
         ],
-        ids=["float-n", "float-label", "bool-leader", "string-n", "beyond-int64-label"],
+        ids=["float-n", "float-label", "bool-leader", "string-n", "beyond-int64-label", "one-node"],
     )
     def test_graph_integers_not_truncated(self, tmp_path, capsys, graph, message):
         path = tmp_path / "g.json"

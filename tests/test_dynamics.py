@@ -5,6 +5,7 @@ import pytest
 
 import groundspect as gs
 from groundspect.errors import (
+    NonFiniteStateError,
     NonGenericInitialConditionWarning,
     TimeOutOfRangeError,
     UnstableStepError,
@@ -110,6 +111,17 @@ class TestSimulate:
         cfg = gs.SimConfig(dimension=1, dt=bad_dt, t_final=10 * bad_dt, integrator="rk4")
         with pytest.raises(UnstableStepError):
             gs.simulate(decompose(g, p), one_d_input(p, 1.0), np.ones((3, 1)), cfg)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy on inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("integrator", gs.dynamics.INTEGRATORS)
+    def test_non_finite_start_raises(self, k3, integrator, bad):
+        g, p = k3
+        x0 = np.ones((3, 1))
+        x0[1, 0] = bad
+        cfg = gs.SimConfig(dimension=1, dt=0.01, t_final=0.1, integrator=integrator)
+        with pytest.raises(NonFiniteStateError):
+            gs.simulate(decompose(g, p), one_d_input(p, 1.0), x0, cfg)
 
     def test_dimensions_decouple(self, dense12):
         g, p = dense12

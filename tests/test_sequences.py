@@ -88,14 +88,14 @@ class TestGenerate:
         # the complete follower graph bounds the reachable minimum degree
         g, p = seq.elements[-1]
         assert gs.min_follower_degree(g, p) <= len(p.followers) - 1
-        assert gs.validate_sequence(seq).all_hold()
+        assert gs.validate_sequence(seq) == {}
 
     def test_node_growth_mode(self):
         cfg = small_cfg(steps=4, initial_followers=6, growth="add_nodes_and_edges")
         seq = gs.generate_sequence(cfg)
         sizes = [g.n for g, _ in seq.elements]
         assert sizes == [8, 9, 10, 11]
-        assert gs.validate_sequence(seq).all_hold()
+        assert gs.validate_sequence(seq) == {}
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = small_cfg(steps=3, initial_followers=6, rng_seed=99)
@@ -158,7 +158,7 @@ def test_incremental_minimum_matches_recount(
     seq = gs.generate_sequence(cfg)
     mins = [gs.min_follower_degree(g, p) for g, p in seq.elements]
     assert mins == [brute_min_ff_degree(g, p) for g, p in seq.elements]
-    assert gs.validate_sequence(seq).all_hold()
+    assert gs.validate_sequence(seq) == {}
     # One edge raises the minimum by at most one, so each element stops
     # exactly one above the last; only a complete follower subgraph saturates.
     assert all(b == a + 1 for a, b in zip(mins, mins[1:]))
@@ -176,8 +176,8 @@ class TestValidate:
                 seq = gs.generate_sequence(
                     small_cfg(steps=4, initial_followers=7, growth=growth, rng_seed=seed)
                 )
-                report = gs.validate_sequence(seq)
-                assert report.all_hold(), report.failures
+                failures = gs.validate_sequence(seq)
+                assert failures == {}, failures
 
     def test_leader_leader_edge_detected(self):
         seq = gs.generate_sequence(small_cfg(steps=2, initial_followers=6))
@@ -186,22 +186,19 @@ class TestValidate:
         tampered = gs.GraphSequence(
             elements=(seq.elements[0], (tampered_g, p1)), config=seq.config
         )
-        report = gs.validate_sequence(tampered)
         # the leader-leader edge also raises both leaders' degrees
-        assert report.failures == {"leader_degrees_constant": 1, "leaders_nonadjacent": 1}
+        assert gs.validate_sequence(tampered) == {"leader_degrees_constant": 1, "leaders_nonadjacent": 1}
 
     def test_single_graph_vacuous_properties(self):
         seq = gs.generate_sequence(small_cfg())
-        report = gs.validate_sequence(seq)
-        assert report.failures == {}
+        assert gs.validate_sequence(seq) == {}
 
     def test_stalled_min_degree_detected(self):
         seq = gs.generate_sequence(small_cfg(steps=2, initial_followers=6))
         stalled = gs.GraphSequence(
             elements=(seq.elements[0], seq.elements[0]), config=seq.config
         )
-        report = gs.validate_sequence(stalled)
-        assert report.failures == {"min_follower_degree_increasing": 1}
+        assert gs.validate_sequence(stalled) == {"min_follower_degree_increasing": 1}
 
 
 class TestSpectralTrendsAlongSequences:
