@@ -49,7 +49,6 @@ from .spectral import (
     PerronReport,
     SemiNormalizedAdjacency,
     SpectralResult,
-    eig_symmetric,
     fiedler_pair,
     semi_normalized_adjacency,
     verify_perron,
@@ -84,7 +83,6 @@ __all__ = [
     "check_identifiability",
     "choose_measurement_time",
     "dense_follower_instance",
-    "eig_symmetric",
     "estimate_fiedler",
     "fiedler_pair",
     "generate_sequence",

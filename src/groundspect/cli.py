@@ -6,7 +6,6 @@ Subcommands:
   check     leader-identifiability certificate (exit 0 iff separated)
   simulate  integrate the closed loop and write a trajectory CSV
   identify  full velocity-based leader identification pipeline
-  oracle    cross-check LAPACK against the Jacobi reference and the data path
   pipeline  batch check + identify over many graphs (optionally parallel)
 
 Exit codes: 0 success/certified, 1 domain failure (conditions unmet,
@@ -39,15 +38,10 @@ from .errors import FiedlerOutOfRangeError, GroundspectError, InputFormatError
 from .graphs import Graph, Partition, grounded_laplacian, is_connected
 from .identifiability import check_identifiability
 from .sequences import generate_sequence
-from .spectral import SpectralResult, _unit_positive, eig_symmetric, fiedler_pair
-from .spectral import semi_normalized_adjacency, verify_perron
-from .tempo import identify_leaders, run_pipeline
+from .spectral import SpectralResult, fiedler_pair, semi_normalized_adjacency, verify_perron
+from .tempo import run_pipeline
 
 log = logging.getLogger(__name__)
-
-# Tolerances for the oracle cross-check.
-_ORACLE_EIG_TOL = 1e-9
-_ORACLE_ANGLE_TOL = 1e-3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,10 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("identify", _cmd_identify, "velocity-based leader identification", [run])
     p.add_argument("--t-final", type=_above(float, 0), help="horizon (default: certified time)")
     p.add_argument("--dt", type=_above(float, 0), help="grid step (default: horizon/512)")
-
-    add(
-        "oracle", _cmd_oracle, "cross-check LAPACK vs Jacobi and data-driven paths", [graph, seeded]
-    )
 
     p = add("pipeline", _cmd_pipeline, "batch check + identify", [seeded, outdir])
     p.add_argument("paths", nargs="+", help="graph or sequence JSON files")
@@ -216,41 +206,6 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     )
     print(f"wrote {leaders_out}, {traj_out}, {tempo_out}")
     return 0 if diag.recovered else 1
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    g, p = io.load_graph(args.graph)
-    L = grounded_laplacian(g, p)
-    result = fiedler_pair(L)
-    w, vecs = eig_symmetric(L.matrix)
-    lam_err = abs(result.lambda_f - w[0])
-    vec_err = float(np.abs(result.v_f - _unit_positive(vecs[:, 0])).max())
-
-    true_set = identify_leaders(result.v_f).leader_set
-
-    u = _generated_inputs(p, args.dim, args.seed)
-    x0 = _random_x0(g, u, args.seed)
-    pipeline_est, diag = run_pipeline(result, u, x0)
-    angle = diag.angle_to_true
-    sets_equal = true_set == pipeline_est.leader_set
-
-    ok = (
-        lam_err <= _ORACLE_EIG_TOL
-        and vec_err <= _ORACLE_EIG_TOL
-        and angle <= _ORACLE_ANGLE_TOL
-        and sets_equal
-    )
-    print(f"lambda_F discrepancy      : {lam_err:.3e}")
-    print(f"v_F discrepancy (max abs) : {vec_err:.3e}")
-    print(f"estimate angle to v_F     : {angle:.3e} rad")
-    print(
-        "leader sets               : "
-        f"spectral={sorted(i + 1 for i in true_set)} "
-        f"pipeline={sorted(i + 1 for i in pipeline_est.leader_set)} "
-        f"({'match' if sets_equal else 'MISMATCH'})"
-    )
-    print("oracle verdict            :", "OK" if ok else "MISMATCH")
-    return 0 if ok else 1
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:

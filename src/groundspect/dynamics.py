@@ -127,6 +127,8 @@ def simulate(
     n = spect.v_f.size
     if x0.shape != (n, cfg.dimension):
         raise ValueError(f"x0 has shape {x0.shape}, expected {(n, cfg.dimension)}")
+    if not np.isfinite(x0).all():
+        raise NonFiniteStateError("non-finite initial state x0")
 
     w, q = spect.spectrum, spect.vectors
     xstar = steady_state(spect, u)

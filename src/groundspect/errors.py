@@ -37,14 +37,6 @@ class EmptyFollowerSetError(GroundspectError):
 
 # -- spectral computations ----------------------------------------------------
 
-class NotSymmetricError(GroundspectError):
-    """Input matrix is not symmetric within tolerance."""
-
-
-class NoConvergenceError(GroundspectError):
-    """The rotation eigensolver did not converge within the sweep cap."""
-
-
 class FiedlerOutOfRangeError(GroundspectError):
     """Smallest eigenvalue is outside (0, 1); the graph is likely
     disconnected or the partition invalid."""

@@ -3,11 +3,12 @@
 In densely connected follower subgraphs the Fiedler vector of the grounded
 Laplacian approaches a simple profile: 1 on followers and
 deg/(deg + 1 - lambda_F) on leaders. One separation test, the follower/leader
-gap against the within-leader spread, is applied to that profile and to the
-computed Fiedler vector. On the profile it gives the margin epsilon_d; the
-certificate holds when the vector stays within epsilon_d/4 of the profile and
-its own leader entries separate from its follower entries, which is exactly
-what the sorted-gap detector needs.
+gap against the largest gap within the leaders and within the followers, is
+applied to that profile and to the computed Fiedler vector. On the profile it
+gives the margin epsilon_d; the certificate holds when the vector stays within
+epsilon_d/4 of the profile and, on the vector itself, the follower/leader gap
+is strictly the largest gap of its sorted entries. The largest-gap cut of the
+computed Fiedler vector then returns exactly the leaders.
 """
 
 from __future__ import annotations
@@ -62,18 +63,18 @@ def scale_optimal_distance(v_f: np.ndarray, target: np.ndarray) -> float:
 
 
 def separation_quantities(v_f: np.ndarray, p: Partition) -> tuple[float, float]:
-    """(min follower entry - max leader entry, max-over-leaders nearest-other-leader distance).
+    """(min follower entry - max leader entry, largest consecutive gap within the
+    sorted leader entries and within the sorted follower entries).
 
-    The second quantity is 0 when only one leader exists.
+    The first exceeds the second exactly when the leader/follower gap is
+    strictly the largest consecutive gap of sorted v_f, so that the largest-gap
+    cut returns the leaders. A side with one entry has no gap of its own.
     """
     v = np.asarray(v_f, dtype=float)
-    leaders = v[list(p.leaders)]
-    gap = float(v[list(p.followers)].min() - leaders.max())
-    if leaders.size == 1:
-        return gap, 0.0
-    dist = np.abs(leaders[:, None] - leaders[None, :])
-    np.fill_diagonal(dist, np.inf)
-    return gap, float(dist.min(axis=1).max())
+    leaders = np.sort(v[list(p.leaders)])
+    followers = np.sort(v[list(p.followers)])
+    other = max(np.diff(leaders).max(initial=0.0), np.diff(followers).max(initial=0.0))
+    return float(followers[0] - leaders[-1]), float(other)
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,13 @@ class IdentifiabilityReport:
     """All certificate inputs plus the combined verdict.
 
     ``epsilon_d`` is the limiting profile's follower/leader gap, 1 minus the
-    largest limiting leader entry, and ``epsilon_d_nearest`` subtracts the
-    profile's within-leader spread from it. ``separated`` is the combined
+    largest limiting leader entry, and ``epsilon_d_margin`` subtracts the
+    profile's largest gap between leader entries from it; the margin is
+    reported, not part of the verdict. ``separated`` is the combined
     certificate: all four conditions hold and the follower/leader gap in the
-    computed Fiedler vector (``separation_lhs``) exceeds its within-leader
-    spread (``separation_rhs_nearest``). ``spectral`` is the decomposition
+    computed Fiedler vector (``separation_lhs``) exceeds every other gap of
+    its sorted entries (``separation_rhs_other_gap``), so the largest-gap cut
+    of that vector is exactly the leader set. ``spectral`` is the decomposition
     the report was computed from, for later layers to reuse; it is left out
     of comparisons, repr and ``to_json``.
     """
@@ -94,12 +97,12 @@ class IdentifiabilityReport:
     leaders_nonadjacent: bool
     lambda_f: float
     epsilon_d: float
-    epsilon_d_nearest: float
+    epsilon_d_margin: float
     epsilon: float
     condition_iii_holds: bool  # epsilon_d > 0
     condition_iv_holds: bool  # epsilon < epsilon_d / 4
     separation_lhs: float
-    separation_rhs_nearest: float
+    separation_rhs_other_gap: float
     separated: bool
     min_follower_degree: int
     spectral: SpectralResult = field(compare=False, repr=False)
@@ -127,9 +130,9 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
     lam = result.lambda_f
 
     limit = limiting_fiedler_vector(g, p, lam)
-    eps_d, spread = separation_quantities(limit, p)
+    eps_d, limit_gap = separation_quantities(limit, p)
     eps = scale_optimal_distance(result.v_f, limit)
-    lhs, rhs_nearest = separation_quantities(result.v_f, p)
+    lhs, rhs_other_gap = separation_quantities(result.v_f, p)
 
     condition_iii = eps_d > 0.0
     condition_iv = eps < eps_d / 4.0
@@ -138,19 +141,19 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
         and nonadjacent
         and condition_iii
         and condition_iv
-        and lhs > rhs_nearest
+        and lhs > rhs_other_gap
     )
     return IdentifiabilityReport(
         connected=connected,
         leaders_nonadjacent=nonadjacent,
         lambda_f=lam,
         epsilon_d=eps_d,
-        epsilon_d_nearest=eps_d - spread,
+        epsilon_d_margin=eps_d - limit_gap,
         epsilon=eps,
         condition_iii_holds=condition_iii,
         condition_iv_holds=condition_iv,
         separation_lhs=lhs,
-        separation_rhs_nearest=rhs_nearest,
+        separation_rhs_other_gap=rhs_other_gap,
         separated=separated,
         min_follower_degree=min_follower_degree(g, p),
         spectral=result,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 from typing import Any
@@ -120,6 +121,8 @@ def inputs_from_dict(payload: Any, where: str = "inputs") -> ExternalInput:
             raise InputFormatError(
                 f"{where}: input for node {node + 1} has {len(vec)} entries, expected {dim}"
             )
+        if not all(map(math.isfinite, vec)):
+            raise InputFormatError(f"{where}: input for node {node + 1} is not finite: {list(vec)}")
     return ExternalInput(dimension=dim, values=values)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import groundspect as gs
-from groundspect import cli, spectral
 
 # The ensemble every ensemble-wide property runs on: 200 seeded random
 # connected graphs, n in [3, 40], 1 <= |leaders| <= n-1.
@@ -45,7 +44,7 @@ def dense12():
 
 @pytest.fixture()
 def decompositions(monkeypatch):
-    """Counts LAPACK ``eigh`` and Jacobi ``eig_symmetric`` calls made from here on."""
+    """Counts LAPACK ``eigh`` calls made from here on."""
     counts = Counter()
 
     def counting(name, fn):
@@ -56,9 +55,6 @@ def decompositions(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    jacobi = counting("eig_symmetric", spectral.eig_symmetric)
-    for module in (spectral, cli):
-        monkeypatch.setattr(module, "eig_symmetric", jacobi)
     return counts
 
 

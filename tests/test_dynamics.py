@@ -112,7 +112,6 @@ class TestSimulate:
         with pytest.raises(UnstableStepError):
             gs.simulate(decompose(g, p), one_d_input(p, 1.0), np.ones((3, 1)), cfg)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # numpy on inf - inf
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("integrator", gs.dynamics.INTEGRATORS)
     def test_non_finite_start_raises(self, k3, integrator, bad):

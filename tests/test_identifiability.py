@@ -62,7 +62,7 @@ class TestLimitingVector:
 
 
 def limit_separation(g, p, lam):
-    """(epsilon_d, within-leader spread): the separation test on the limiting profile."""
+    """(epsilon_d, largest limiting leader gap): the separation test on the limiting profile."""
     return gs.separation_quantities(gs.limiting_fiedler_vector(g, p, lam), p)
 
 
@@ -75,7 +75,7 @@ class TestSeparationMargin:
         assert limit_separation(*k3, K3_LAMBDA)[1] == 0.0
 
     def test_equal_degree_leaders(self):
-        # both leaders degree 2: nearest-other-leader distance 0
+        # both leaders degree 2: no gap between the leader entries
         g, p = gs.dense_follower_instance(6, (2, 2))
         lam = 0.3
         phi = gs.limiting_leader_entry(2, lam)
@@ -141,8 +141,8 @@ class TestSeparationQuantities:
         assert (lhs, rhs) == (pytest.approx(0.3), 0.0)
 
     def test_two_leaders_both_readings(self):
-        # the second quantity is the nearest-other-leader distance, never the
-        # self-inclusive 0
+        # the second quantity is the gap between the two leader entries, never
+        # a self-inclusive 0
         p = gs.make_partition(4, [0, 1])
         v = np.array([0.7, 0.72, 1.0, 1.0])
         lhs, rhs = gs.separation_quantities(v, p)
@@ -158,7 +158,18 @@ class TestSeparationQuantities:
         p = gs.make_partition(10, [1, 3, 7])
         lhs, rhs = gs.separation_quantities(v, p)
         assert lhs == pytest.approx(0.3232 - 0.2661, abs=1e-12)
+        assert rhs == pytest.approx(0.3376 - 0.3277, abs=1e-12)  # largest follower gap
         assert lhs > rhs
+
+    def test_two_tight_leader_pairs_far_apart(self):
+        # each leader's nearest other leader is 0.01 away, yet the largest
+        # gap of the sorted vector lies between the two pairs
+        p = gs.make_partition(6, [0, 1, 2, 3])
+        v = np.array([0.1, 0.11, 0.7, 0.71, 1.0, 1.0])
+        lhs, rhs = gs.separation_quantities(v, p)
+        assert lhs == pytest.approx(0.29)
+        assert rhs == pytest.approx(0.59)
+        assert gs.identify_leaders(v).leader_set == {0, 1}
 
 
 class TestCheckIdentifiability:
@@ -166,7 +177,8 @@ class TestCheckIdentifiability:
         rep = gs.check_identifiability(*k3)
         assert rep.connected
         assert rep.leaders_nonadjacent  # vacuously, single leader
-        assert rep.separation_rhs_nearest == 0.0
+        # one leader has no gap of its own; the two followers are symmetric
+        assert rep.separation_rhs_other_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_k3_adjacent_leaders(self):
         g = gs.build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -191,7 +203,7 @@ class TestCheckIdentifiability:
         assert rep.lambda_f == r.lambda_f
         margin, spread = limit_separation(g, p, r.lambda_f)
         assert rep.epsilon_d == pytest.approx(margin)
-        assert rep.epsilon_d_nearest == pytest.approx(margin - spread)
+        assert rep.epsilon_d_margin == pytest.approx(margin - spread)
         assert rep.epsilon == pytest.approx(
             gs.scale_optimal_distance(
                 r.v_f, gs.limiting_fiedler_vector(g, p, r.lambda_f)
@@ -218,7 +230,9 @@ class TestCheckIdentifiability:
             if len(p.leaders) != 1:
                 continue
             rep = gs.check_identifiability(g, p)
-            assert rep.separation_rhs_nearest == 0.0
+            # one leader has no gap of its own: rhs is the largest follower gap
+            followers = np.sort(rep.spectral.v_f[list(p.followers)])
+            assert rep.separation_rhs_other_gap == np.diff(followers).max(initial=0.0)
             if rep.separated:
                 assert rep.separation_lhs > 0.0
 
@@ -229,12 +243,50 @@ class TestCheckIdentifiability:
             "leaders_nonadjacent",
             "lambda_F",
             "epsilon_d",
-            "epsilon_d_nearest",
+            "epsilon_d_margin",
             "epsilon",
             "condition_iii_holds",
             "condition_iv_holds",
             "separation_lhs",
-            "separation_rhs_nearest",
+            "separation_rhs_other_gap",
             "separated",
             "min_follower_degree",
         }
+
+
+def mixed_degree_instances(count: int, seed: int):
+    """Seeded dense-follower draws with 2-5 leaders of independent random
+    degrees in [1, F/2), F in [10, 60]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        followers = int(rng.integers(10, 61))
+        n_leaders = int(rng.integers(2, 6))
+        degrees = tuple(int(d) for d in rng.integers(1, followers // 2, size=n_leaders))
+        yield gs.dense_follower_instance(followers, degrees, rng)
+
+
+class TestSeparatedImpliesCut:
+    """A separated graph's largest-gap cut on its own Fiedler vector is exact."""
+
+    def test_mixed_degree_ensemble(self):
+        certified = 0
+        for g, p in mixed_degree_instances(600, seed=0):
+            rep = gs.check_identifiability(g, p)
+            if rep.separated:
+                certified += 1
+                assert gs.identify_leaders(rep.spectral.v_f).leader_set == set(p.leaders)
+        assert certified > 100  # 188 on x86-64 with OpenBLAS
+
+    def test_two_degree_groups_declined(self):
+        # leaders of degrees 1, 1, 10, 10 on a complete 40-follower subgraph:
+        # v_F stays within epsilon_d/4 of its limit and every leader entry lies
+        # below every follower entry, yet the largest gap of sorted v_F falls
+        # between the two leader groups
+        g, p = gs.dense_follower_instance(40, (1, 1, 10, 10))
+        rep = gs.check_identifiability(g, p)
+        assert rep.condition_iv_holds
+        assert rep.separation_lhs > 0.0
+        assert rep.separation_rhs_other_gap > rep.separation_lhs
+        assert rep.epsilon_d_margin < 0.0
+        assert not rep.separated
+        assert gs.identify_leaders(rep.spectral.v_f).leader_set == {0, 1}

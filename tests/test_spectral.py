@@ -6,36 +6,33 @@ import numpy as np
 import pytest
 
 import groundspect as gs
-from groundspect.errors import (
-    FiedlerOutOfRangeError,
-    NotSymmetricError,
-    SingularScalingError,
-)
+from groundspect.errors import FiedlerOutOfRangeError, SingularScalingError
 
 from conftest import GOLDEN, K3_LAMBDA, P2_LAMBDA
+from jacobi import NoConvergenceError, NotSymmetricError, eig_symmetric
 
 
 class TestEigSymmetric:
     def test_identity(self):
-        w, v = gs.eig_symmetric(np.eye(3))
+        w, v = eig_symmetric(np.eye(3))
         np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
         np.testing.assert_allclose(v @ v.T, np.eye(3), atol=1e-14)
 
     def test_p2_grounded_closed_form(self):
-        w, _ = gs.eig_symmetric(np.array([[2.0, -1.0], [-1.0, 1.0]]))
+        w, _ = eig_symmetric(np.array([[2.0, -1.0], [-1.0, 1.0]]))
         np.testing.assert_allclose(w, [P2_LAMBDA, (3 + np.sqrt(5)) / 2], atol=1e-13)
 
     def test_diagonal_sorted(self):
-        w, v = gs.eig_symmetric(np.diag([5.0, 2.0, 9.0]))
+        w, v = eig_symmetric(np.diag([5.0, 2.0, 9.0]))
         np.testing.assert_allclose(w, [2.0, 5.0, 9.0])
         # eigenvectors are (signed) unit basis vectors
         assert np.abs(np.abs(v).sum(axis=0) - 1.0).max() < 1e-14
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
-            gs.eig_symmetric(np.array([[1.0, 2.0], [0.5, 1.0]]))
+            eig_symmetric(np.array([[1.0, 2.0], [0.5, 1.0]]))
         with pytest.raises(NotSymmetricError):
-            gs.eig_symmetric(np.ones((2, 3)))
+            eig_symmetric(np.ones((2, 3)))
 
     def test_residual_and_orthogonality_random(self):
         rng = np.random.default_rng(42)
@@ -43,7 +40,7 @@ class TestEigSymmetric:
             n = int(rng.integers(2, 41))
             m = rng.normal(size=(n, n))
             m = m + m.T
-            w, v = gs.eig_symmetric(m)
+            w, v = eig_symmetric(m)
             scale = np.abs(m).max()
             assert np.abs(m @ v - v * w).max() <= 1e-10 * scale
             assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
@@ -55,23 +52,21 @@ class TestEigSymmetric:
             n = int(rng.integers(2, 35))
             m = rng.normal(size=(n, n))
             m = m + m.T
-            w, _ = gs.eig_symmetric(m)
+            w, _ = eig_symmetric(m)
             np.testing.assert_allclose(
                 w, np.linalg.eigvalsh(m), atol=1e-11 * max(1.0, np.abs(m).max())
             )
 
     def test_repeated_eigenvalues(self):
         m = np.diag([2.0, 2.0, 2.0, 5.0])
-        w, v = gs.eig_symmetric(m)
+        w, v = eig_symmetric(m)
         np.testing.assert_allclose(w, [2.0, 2.0, 2.0, 5.0])
         assert np.abs(m @ v - v * w).max() < 1e-12
 
     def test_sweep_cap_enforced(self):
-        from groundspect.errors import NoConvergenceError
-
         m = np.array([[2.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(NoConvergenceError):
-            gs.eig_symmetric(m, max_sweeps=0)
+            eig_symmetric(m, max_sweeps=0)
 
 
 class TestFiedlerPair:
@@ -227,16 +222,32 @@ class TestVerifyPerron:
         )
         assert report.spectral_gap > 0.0
 
+    @pytest.mark.parametrize(
+        "d_lambda, d_entry, error",
+        [(1e-6, 0.0, "radius_error"), (0.0, 1e-3, "alignment_error")],
+        ids=["lambda_F", "v_F"],
+    )
+    def test_perturbed_pair_detected(self, dense12, d_lambda, d_entry, error):
+        # negative control: the check reads 0 on the exact pair and exceeds its
+        # 1e-9 threshold on a pair perturbed in lambda_F or in one v_F entry
+        g, p = dense12
+        r = gs.fiedler_pair(gs.grounded_laplacian(g, p))
+        exact = gs.verify_perron(gs.semi_normalized_adjacency(g, p, r.lambda_f), r.v_f)
+        v = r.v_f.copy()
+        v[0] += d_entry
+        perturbed = gs.verify_perron(gs.semi_normalized_adjacency(g, p, r.lambda_f + d_lambda), v)
+        assert getattr(exact, error) <= 1e-9 < getattr(perturbed, error)
+
 
 class TestEnsembleInvariants:
     """Smallest-pair consistency and eigen-residuals over the shared ensemble."""
 
-    def test_fiedler_matches_oracle_solver(self, ensemble):
+    def test_fiedler_matches_jacobi_reference(self, ensemble):
         # LAPACK against the independent Jacobi reference
         for g, p in ensemble:
             L = gs.grounded_laplacian(g, p)
             r = gs.fiedler_pair(L)
-            w, vecs = gs.eig_symmetric(L.matrix)
+            w, vecs = eig_symmetric(L.matrix)
             assert abs(r.lambda_f - w[0]) <= 1e-9
             assert np.abs(r.spectrum - w).max() <= 1e-9
             v = vecs[:, 0]
