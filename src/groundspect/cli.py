@@ -195,13 +195,13 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     estimate, diag = run_pipeline(spect, u, x0, cfg)
 
     leaders_out, traj_out, tempo_out = _outputs(args, "leaders.json", "traj.csv", "tempo.csv")
-    io.save_json(leaders_out, estimate.to_json() | diag.to_json())
+    record = estimate.to_json() | diag.to_json()
+    io.save_json(leaders_out, record)
     io.write_trajectory_csv(traj_out, diag.trajectory)
     io.write_tempo_csv(tempo_out, diag.trajectory)
     _run_manifest(args, cfg, [leaders_out, traj_out, tempo_out])
-    labels = sorted(i + 1 for i in estimate.leader_set)
     print(
-        f"identified leaders {labels} (n={estimate.n_leaders}, "
+        f"identified leaders {record['leaders']} (n={estimate.n_leaders}, "
         f"gap={estimate.gap_size:.4f}, recovered={diag.recovered})"
     )
     print(f"wrote {leaders_out}, {traj_out}, {tempo_out}")
@@ -214,8 +214,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         (name, graph_dict, args.seed + idx, args.dim)
         for idx, (name, graph_dict) in enumerate(instances)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))  # a fork-started pool forks all of them at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_pipeline_worker, jobs))
     else:
         rows = [_pipeline_worker(job) for job in jobs]
@@ -242,20 +243,18 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _pipeline_worker(job: tuple[str, dict, int, int]) -> dict:
+    """One summary row: the instance name, the check record, then the identify
+    record without sorted_values (n floats; the leaders JSON keeps them)."""
     name, graph_dict, seed, dim = job
     row: dict = {"instance": name}
     try:
         g, p = io.graph_from_dict(graph_dict, where=name)
         report = check_identifiability(g, p)
-        row["separated"] = report.separated
-        row["epsilon"] = report.epsilon
-        row["epsilon_d"] = report.epsilon_d
+        row |= report.to_json()
         u = _generated_inputs(p, dim, seed)
-        x0 = _random_x0(g, u, seed)
-        estimate, diag = run_pipeline(report.spectral, u, x0)
-        row["leaders"] = sorted(i + 1 for i in estimate.leader_set)
-        row["recovered"] = diag.recovered
-        row["angle_to_true"] = diag.angle_to_true
+        estimate, diag = run_pipeline(report.spectral, u, _random_x0(g, u, seed))
+        row |= estimate.to_json() | diag.to_json()
+        del row["sorted_values"]
     except GroundspectError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         log.warning("pipeline %s failed: %s", name, exc)
@@ -273,13 +272,7 @@ def _ensure_outdir(path: str) -> Path:
 
 def _generated_inputs(p: Partition, dim: int, seed: int) -> ExternalInput:
     rng = np.random.default_rng((seed, 0xA11))
-    return ExternalInput(
-        dimension=dim,
-        values={
-            leader: tuple(float(x) for x in rng.uniform(10.0, 50.0, size=dim))
-            for leader in p.leaders
-        },
-    )
+    return ExternalInput(dim, {leader: rng.uniform(10.0, 50.0, size=dim) for leader in p.leaders})
 
 
 def _random_x0(g: Graph, u: ExternalInput, seed: int) -> np.ndarray:

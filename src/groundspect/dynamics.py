@@ -45,10 +45,31 @@ INTEGRATORS = ("rk4", "exact")
 
 @dataclass(frozen=True)
 class ExternalInput:
-    """Constant d-dimensional input vector per leader, none for followers."""
+    """Constant d-dimensional input vector per leader, none for followers.
+
+    Each vector must hold exactly dimension finite numbers, stored as floats;
+    errors name a node by its 1-based label, as to_json writes it.
+    """
 
     dimension: int
     values: Mapping[int, tuple[float, ...]]
+
+    def __post_init__(self) -> None:
+        dimension = as_int(self.dimension, "dimension")
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        values = {}
+        for node, vec in self.values.items():
+            vec = tuple(float(x) for x in vec)
+            if len(vec) != dimension:
+                raise ValueError(
+                    f"input for node {node + 1} has {len(vec)} entries, expected {dimension}"
+                )
+            if not all(map(math.isfinite, vec)):
+                raise ValueError(f"input for node {node + 1} is not finite: {list(vec)}")
+            values[node] = vec
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "values", values)
 
     def to_json(self) -> dict:
         return {
@@ -208,13 +229,7 @@ def _forcing(p: Partition, u: ExternalInput) -> np.ndarray:
         )
     forcing = np.zeros((p.n, u.dimension))
     for leader in p.leaders:
-        vec = np.asarray(u.values[leader], dtype=float)
-        if vec.shape != (u.dimension,):
-            raise ValueError(
-                f"input for leader {leader} has shape {vec.shape}, "
-                f"expected ({u.dimension},)"
-            )
-        forcing[leader] = vec
+        forcing[leader] = u.values[leader]
     return forcing
 
 

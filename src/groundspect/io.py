@@ -3,8 +3,8 @@
 Node labels are 1-based in every file to match the reporting convention.
 Parsing them into the 0-based internal indices happens here and only here;
 labels are written back by the writers here, by the to_json of
-LeaderEstimate, PipelineDiagnostics and ExternalInput, and in the CLI's
-messages.
+LeaderEstimate, PipelineDiagnostics and ExternalInput, in ExternalInput's
+errors and in the CLI's messages.
 All writers are deterministic (sorted keys, fixed float formatting), so a
 rerun with the same resolved config reproduces files byte for byte within
 one numpy/BLAS build.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from pathlib import Path
 from typing import Any
@@ -39,6 +38,8 @@ def load_json(path: str | Path) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 def save_json(path: str | Path, payload: dict) -> None:
@@ -104,26 +105,16 @@ def save_graph(path: str | Path, g: Graph, p: Partition) -> None:
 def inputs_from_dict(payload: Any, where: str = "inputs") -> ExternalInput:
     _json_object(payload, where, "dimension", "u")
     try:
-        dim = as_int(payload["dimension"], "dimension")
         labels = {label: _label_int(label) for label in payload["u"]}
-        values = {
-            node - 1: tuple(float(x) for x in payload["u"][label])
-            for label, node in labels.items()
-        }
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: malformed entry ({exc})") from exc
     if any(node < 1 for node in labels.values()):
         raise InputFormatError(f"{where}: node labels are 1-based, got {min(labels.values())}")
-    if dim < 1:
-        raise InputFormatError(f"{where}: dimension must be >= 1")
-    for node, vec in values.items():
-        if len(vec) != dim:
-            raise InputFormatError(
-                f"{where}: input for node {node + 1} has {len(vec)} entries, expected {dim}"
-            )
-        if not all(map(math.isfinite, vec)):
-            raise InputFormatError(f"{where}: input for node {node + 1} is not finite: {list(vec)}")
-    return ExternalInput(dimension=dim, values=values)
+    try:
+        values = {node - 1: payload["u"][label] for label, node in labels.items()}
+        return ExternalInput(dimension=payload["dimension"], values=values)
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer past float range overflows
+        raise InputFormatError(f"{where}: {exc}") from exc
 
 
 def load_inputs(path: str | Path) -> ExternalInput:
@@ -161,20 +152,6 @@ def sequence_config_from_dict(payload: Any, where: str = "config") -> SequenceCo
         raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def load_sequence(path: str | Path) -> GraphSequence:
-    payload = _json_object(load_json(path), str(path), "config", "graphs")
-    cfg = sequence_config_from_dict(payload["config"], where=f"{path}#config")
-    elements = tuple(
-        graph_from_dict(item, where=f"{path}#graphs[{idx}]")
-        for idx, item in enumerate(_graph_list(payload, path))
-    )
-    if not elements:
-        raise InputFormatError(f"{path}: empty sequence")
-    return GraphSequence(
-        elements=elements, config=cfg, saturated=bool(payload.get("saturated", False))
-    )
-
-
 def save_sequence(path: str | Path, seq: GraphSequence) -> None:
     save_json(path, sequence_to_dict(seq))
 
@@ -184,13 +161,9 @@ def load_instances(path: str | Path) -> list[tuple[str, Any]]:
     payload = _json_object(load_json(path), str(path))
     if "graphs" not in payload:
         return [(str(path), payload)]
-    return [(f"{path}#{idx}", item) for idx, item in enumerate(_graph_list(payload, path))]
-
-
-def _graph_list(payload: dict, path: str | Path) -> list:
     if not isinstance(payload["graphs"], list):
         raise InputFormatError(f"{path}: 'graphs' must be a JSON list")
-    return payload["graphs"]
+    return [(f"{path}#{idx}", item) for idx, item in enumerate(payload["graphs"])]
 
 
 # -- trajectories -------------------------------------------------------------------

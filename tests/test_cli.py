@@ -1,7 +1,10 @@
 """CLI subcommands: files written, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 import groundspect as gs
-from groundspect import io
+from groundspect import cli, io
 from groundspect.cli import main
 
 from conftest import K3_LAMBDA
@@ -54,8 +57,10 @@ class TestGen:
         cfg = self.config(tmp_path)
         out = tmp_path / "out"
         assert run("gen", cfg, "-o", out) == 0
-        seq = io.load_sequence(out / "sequence.json")
-        assert len(seq) == 3
+        path = out / "sequence.json"
+        assert len([io.graph_from_dict(item) for _, item in io.load_instances(path)]) == 3
+        config = io.sequence_config_from_dict(io.load_json(path)["config"])
+        assert config == io.sequence_config_from_dict(io.load_json(cfg))
         manifest = io.load_json(out / "sequence.manifest.json")
         assert manifest["subcommand"] == "gen"
         assert manifest["rng_seed"] == 11
@@ -247,6 +252,60 @@ class TestPipeline:
             b / "pipeline_summary.json"
         ).read_bytes()
 
+    def test_pool_never_exceeds_the_instances(self, tmp_path, dense12_file, k3_file, monkeypatch):
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("pipeline", dense12_file, k3_file, "-o", a, "--jobs", 1) == 0
+        assert run("pipeline", dense12_file, k3_file, "-o", b, "--jobs", 3) == 0
+        assert sizes == [2]
+        assert (a / "pipeline_summary.json").read_bytes() == (
+            b / "pipeline_summary.json"
+        ).read_bytes()
+        empty = tmp_path / "empty.json"
+        io.save_json(empty, {"graphs": []})
+        assert run("pipeline", empty, "-o", tmp_path / "c", "--jobs", 2) == 0
+        assert io.load_json(tmp_path / "c" / "pipeline_summary.json") == {"instances": []}
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("run_fails", [False, True], ids=["identified", "run-fails"])
+    def test_row_is_check_and_identify_records(
+        self, tmp_path, dense12_file, k3_file, monkeypatch, run_fails
+    ):
+        if run_fails:
+            def fail(*args):
+                raise gs.errors.DegenerateEstimateError("no gap")
+
+            monkeypatch.setattr(cli, "run_pipeline", fail)
+        out = tmp_path / "out"
+        code = run("pipeline", dense12_file, k3_file, "--jobs", 1, "-o", out)
+        assert code == (1 if run_fails else 0)
+        rows = io.load_json(out / "pipeline_summary.json")["instances"]
+        assert len(rows) == 2
+        for seed, (path, row) in enumerate(zip([dense12_file, k3_file], rows)):
+            run("check", path, "-o", tmp_path / "check")
+            certificate = io.load_json(tmp_path / "check" / f"{path.stem}.check.json")
+            assert row.pop("instance") == str(path)
+            if run_fails:
+                assert row.pop("error") == "DegenerateEstimateError: no gap"
+                assert row == certificate
+                continue
+            # the worker's run, repeated with the worker's seed
+            g, p = io.load_graph(path)
+            u = cli._generated_inputs(p, 2, seed)
+            spect = gs.check_identifiability(g, p).spectral
+            estimate, diag = gs.run_pipeline(spect, u, cli._random_x0(g, u, seed))
+            record = json.loads(json.dumps(estimate.to_json() | diag.to_json()))
+            del record["sorted_values"]
+            assert not set(certificate) & set(record)
+            assert row == certificate | record
+
 
 def exit_code(*argv):
     """main's return value, or the exit code of an argparse rejection."""
@@ -305,6 +364,19 @@ class TestNonObjectJson:
     def test_inputs_file(self, tmp_path, k3_file, three, capsys):
         assert run("simulate", k3_file, "--inputs", three, "-o", tmp_path) == 2
         assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["gen", "spectral", "check", "pipeline", "--inputs"])
+    def test_not_utf8(self, tmp_path, k3_file, capsys, subcommand):
+        path = tmp_path / "latin1.json"
+        text = b'{"n": 2, "edges": [[1, 2]], "leaders": [1], "name": "\xff"}'
+        path.write_bytes(text)
+        if subcommand == "--inputs":
+            argv = ["simulate", k3_file, "--inputs", path]
+        else:
+            argv = [subcommand, path]
+        assert run(*argv, "-o", tmp_path) == 2
+        line = TestMisfittingJson.single_error_line(capsys)
+        assert f"{path}: not UTF-8 text at byte {text.index(0xFF)}" in line
 
     @pytest.mark.parametrize(
         "element, message",
@@ -404,6 +476,12 @@ class TestMisfittingJson:
         assert run(subcommand, dense12_file, "--inputs", upath, "-o", tmp_path) == 2
         assert "input for node 1 is not finite" in self.single_error_line(capsys)
 
+    def test_input_beyond_float_range(self, tmp_path, dense12_file, capsys):
+        upath = tmp_path / "u.json"
+        upath.write_text('{"dimension": 1, "u": {"1": [1%s], "2": [1.0]}}\n' % ("0" * 400))
+        assert run("identify", dense12_file, "--inputs", upath, "-o", tmp_path) == 2
+        assert "too large to convert to float" in self.single_error_line(capsys)
+
     @pytest.mark.parametrize(
         "u, label",
         [
@@ -446,6 +524,50 @@ class TestMisc:
     def test_gs_log_env(self, tmp_path, k3_file, monkeypatch, capsys):
         monkeypatch.setenv("GS_LOG", "debug")
         assert run("check", k3_file, "-o", tmp_path) in (0, 1)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_records(entry: str) -> list[set[str]]:
+    """The quoted names in each `{...}` span of README's "File formats" entry."""
+    text = README.read_text()
+    start = text.index(f"- **{entry}**")
+    bullet = re.split(r"\n(?:- |\n)", text[start + 2 :])[0]
+    return [set(re.findall(r'"(\w+)"', span)) for span in re.findall(r"`\{(.*?)\}`", bullet, re.S)]
+
+
+class TestReadme:
+    def test_file_formats_name_the_record_fields(self, tmp_path, dense12_file):
+        (check,) = readme_records("Check JSON")
+        (leaders,) = readme_records("Leaders JSON")
+        summary, row = readme_records("Pipeline summary JSON")
+        assert summary == {"instances"}
+        assert row == {"instance"} | check | (leaders - {"sorted_values"})
+        assert run("check", dense12_file, "-o", tmp_path) == 0
+        assert set(io.load_json(tmp_path / "dense12.check.json")) == check
+        assert run("identify", dense12_file, "-o", tmp_path) == 0
+        assert set(io.load_json(tmp_path / "dense12.leaders.json")) == leaders
+        assert run("pipeline", dense12_file, "-o", tmp_path) == 0
+        (written,) = io.load_json(tmp_path / "pipeline_summary.json")["instances"]
+        assert set(written) == row
+
+    def test_quick_start_runs(self, tmp_path, monkeypatch):
+        text = README.read_text()
+        block = re.search(r"## Quick start \(CLI\)\n\n```bash\n(.*?)```", text, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        for name, body in re.findall(r"cat > (\S+) <<'EOF'\n(.*?)EOF\n", block, re.S):
+            Path(name).write_text(body)
+        commands = [
+            shlex.split(line, comments=True)[1:]
+            for line in block.splitlines()
+            if line.startswith("groundspect ")
+        ]
+        assert [argv[0] for argv in commands] == [
+            "gen", "spectral", "check", "identify", "pipeline"
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
 
 
 def manifest_of(path):

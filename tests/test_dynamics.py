@@ -52,6 +52,23 @@ class TestSteadyState:
             gs.steady_state(decompose(g, p), gs.ExternalInput(dimension=1, values={1: (1.0,)}))
 
 
+class TestExternalInput:
+    @pytest.mark.parametrize(
+        "dimension, values",
+        [(1, {0: (float("inf"),)}), (0, {0: ()}), (True, {0: (1.0,)}), (2, {0: (1.0,)})],
+        ids=["inf-entry", "zero-dimension", "bool-dimension", "short-vector"],
+    )
+    def test_rejected_at_construction(self, dimension, values):
+        with pytest.raises(ValueError):
+            gs.ExternalInput(dimension, values)
+
+    def test_vectors_stored_as_float_tuples(self):
+        u = gs.ExternalInput(np.int64(2), {3: np.array([1, 2])})
+        assert u.dimension == 2 and type(u.dimension) is int
+        assert u.values == {3: (1.0, 2.0)}
+        assert all(type(x) is float for x in u.values[3])
+
+
 class TestSimConfig:
     @pytest.mark.parametrize(
         "field, value",

@@ -90,23 +90,15 @@ class TestNonObjectPayloads:
         with pytest.raises(InputFormatError, match="expected a JSON object"):
             parse(payload)
 
-    @pytest.mark.parametrize("load", [io.load_sequence, io.load_instances])
+    @pytest.mark.parametrize("load", [io.load_instances])
     def test_loaders_reject(self, tmp_path, load):
         path = tmp_path / "three.json"
         path.write_text("3")
         with pytest.raises(InputFormatError, match="expected a JSON object"):
             load(path)
 
-    def test_sequence_element_rejected(self, tmp_path):
-        cfg = gs.SequenceConfig(leader_degrees=(2,), initial_followers=5, steps=1)
-        path = tmp_path / "seq.json"
-        io.save_json(path, {"config": cfg.to_json(), "graphs": [3]})
-        with pytest.raises(InputFormatError, match=r"graphs\[0\]: expected a JSON object"):
-            io.load_sequence(path)
-
-
     @pytest.mark.parametrize("graphs", [3, "abc"])
-    @pytest.mark.parametrize("load", [io.load_sequence, io.load_instances])
+    @pytest.mark.parametrize("load", [io.load_instances])
     def test_graphs_not_a_list_rejected(self, tmp_path, load, graphs):
         cfg = gs.SequenceConfig(leader_degrees=(2,), initial_followers=5, steps=1)
         path = tmp_path / "seq.json"
@@ -121,22 +113,17 @@ class TestSequenceFiles:
         seq = gs.generate_sequence(cfg)
         path = tmp_path / "seq.json"
         io.save_sequence(path, seq)
-        back = io.load_sequence(path)
-        assert back.config == cfg
-        assert [g.edges for g, _ in back.elements] == [g.edges for g, _ in seq.elements]
-        assert back.saturated == seq.saturated
+        payload = io.load_json(path)
+        assert io.sequence_config_from_dict(payload["config"]) == cfg
+        back = [io.graph_from_dict(item) for _, item in io.load_instances(path)]
+        assert [g.edges for g, _ in back] == [g.edges for g, _ in seq.elements]
+        assert payload["saturated"] == seq.saturated
 
     def test_config_parser_defaults(self):
         payload = {"leader_degrees": [2], "initial_followers": 5, "steps": 3}
         assert io.sequence_config_from_dict(payload) == gs.SequenceConfig(
             leader_degrees=(2,), initial_followers=5, steps=3, growth="densify_edges", rng_seed=0
         )
-
-    def test_malformed_config_in_sequence_file(self, tmp_path):
-        path = tmp_path / "seq.json"
-        io.save_json(path, {"config": {"leader_degrees": [2], "steps": 3}, "graphs": []})
-        with pytest.raises(InputFormatError, match="#config: missing field 'initial_followers'"):
-            io.load_sequence(path)
 
 
 class TestTrajectoryCsv:
