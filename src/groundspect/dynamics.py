@@ -9,7 +9,10 @@ Velocities are always evaluated from the right-hand side, never finite
 differenced. The exact integrator writes them in modal form
 -sum_k lambda_k exp(-lambda_k t) q_k <q_k, x0 - x*>, which is the same
 expression without the catastrophic cancellation that direct evaluation
-suffers once the transient has decayed ~14 orders of magnitude.
+suffers once the transient has decayed ~14 orders of magnitude. Modal
+coefficients below the smallest normal float are flushed to zero first, which
+avoids slow subnormal arithmetic and is exact for every output entry above
+about 2**-969.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
+    MeasurementTimeCappedWarning,
     NonFiniteStateError,
     NonGenericInitialConditionWarning,
     TimeOutOfRangeError,
@@ -47,8 +51,9 @@ INTEGRATORS = ("rk4", "exact")
 class ExternalInput:
     """Constant d-dimensional input vector per leader, none for followers.
 
-    Each vector must hold exactly dimension finite numbers, stored as floats;
-    errors name a node by its 1-based label, as to_json writes it.
+    Each vector must hold exactly dimension finite numbers, not strings or
+    booleans, stored as floats; errors name a node by its 1-based label, as
+    to_json writes it.
     """
 
     dimension: int
@@ -60,7 +65,10 @@ class ExternalInput:
             raise ValueError("dimension must be >= 1")
         values = {}
         for node, vec in self.values.items():
-            vec = tuple(float(x) for x in vec)
+            vec = tuple(vec)
+            if any(isinstance(x, (str, bytes, bool, np.bool_)) for x in vec):
+                raise ValueError(f"input for node {node + 1} has a non-numeric entry: {list(vec)}")
+            vec = tuple(map(float, vec))
             if len(vec) != dimension:
                 raise ValueError(
                     f"input for node {node + 1} has {len(vec)} entries, expected {dimension}"
@@ -162,6 +170,10 @@ def simulate(
 
     if cfg.integrator == "exact":
         modal = np.exp(-np.outer(times, w))[:, :, None] * y0  # (T, n, d)
+        # x86 multiplies subnormals in microcode; a flushed term is under half an ulp of
+        # any partial sum >= 2**-969, so only runs where every velocity underflows change.
+        tiny = np.finfo(float).tiny
+        modal[(modal < tiny) & (modal > -tiny)] = 0.0
         states = q @ modal
         states += xstar
         modal *= -w[:, None]
@@ -203,19 +215,24 @@ def choose_measurement_time(spectrum: np.ndarray) -> tuple[float, float]:
 
     Aims for exp(-(lambda_2 - lambda_F) t) <= _TARGET_DOMINANCE while keeping
     lambda_F * t <= _MAX_DECAY so velocities do not underflow. When both
-    cannot hold (tiny spectral gap) the underflow cap wins and the degraded
-    predicted dominance is returned alongside the time.
+    cannot hold (tiny spectral gap) the underflow cap wins, the degraded
+    predicted dominance is returned alongside the time, and a
+    MeasurementTimeCappedWarning says so.
     """
     w = np.asarray(spectrum, dtype=float)
-    lam_f = w[0]
-    gap = w[1] - w[0]
+    lam_f, gap = float(w[0]), float(w[1] - w[0])
     t_cap = _MAX_DECAY / lam_f
-    if gap <= 0.0:
-        return t_cap, 1.0
     # nudge past the target so rounding cannot leave the dominance an ulp high
-    t_target = np.log(1.0 / _TARGET_DOMINANCE) / gap * (1.0 + 1e-9)
-    t = min(t_target, t_cap)
-    return float(t), float(np.exp(-gap * t))
+    t_target = np.log(1.0 / _TARGET_DOMINANCE) / gap * (1.0 + 1e-9) if gap > 0.0 else math.inf
+    t = float(min(t_target, t_cap))
+    dominance = float(np.exp(-gap * t)) if gap > 0.0 else 1.0
+    if t_cap < t_target:
+        warnings.warn(
+            f"spectral gap {gap:.6g} (lambda_F={lam_f:.6g}) too small for the dominance "
+            f"target before underflow: measuring at t={t:.6g}, predicted dominance {dominance:.6g}",
+            MeasurementTimeCappedWarning,
+        )
+    return t, dominance
 
 
 def _forcing(p: Partition, u: ExternalInput) -> np.ndarray:

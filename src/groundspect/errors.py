@@ -95,6 +95,12 @@ class NonGenericInitialConditionWarning(UserWarning):
     slowest mode in any dimension; tempo ratios will not converge to it."""
 
 
+class MeasurementTimeCappedWarning(UserWarning):
+    """The spectral gap is too small to reach the dominance target before the
+    velocities underflow; the measurement time is capped and the slowest
+    mode dominates less than targeted."""
+
+
 def as_int(value: object, name: str = "node label") -> int:
     """value as an int if it is an integer; a bool, a fraction or a string raises
     ValueError, which shows the value as JSON where it has a JSON form."""

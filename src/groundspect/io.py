@@ -25,7 +25,7 @@ from .dynamics import ExternalInput, Trajectory
 from .errors import GroundspectError, InputFormatError, as_int
 from .graphs import Graph, Partition, build_graph, make_partition
 from .sequences import GraphSequence, SequenceConfig
-from .tempo import estimate_fiedler
+from .tempo import _estimates
 
 # Rows end as in the csv module's default dialect, which read_trajectory_csv
 # parses; %.17g round-trips every float and no cell ever needs quoting.
@@ -210,15 +210,12 @@ def write_tempo_csv(path: str | Path, traj: Trajectory) -> None:
     """
     n = traj.states.shape[1]
     row = ",".join(["%.17g"] * (1 + n)) + _EOL
+    _, live, estimates = _estimates(traj.velocities)
+    estimates = iter(estimates)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["t"] + [f"tau{i + 1}" for i in range(n)]) + _EOL)
-        for t, vel in zip(traj.times.tolist(), traj.velocities):
-            try:
-                _, estimate = estimate_fiedler(vel)
-            except GroundspectError:
-                fh.write(f"{t:.17g}" + "," * n + _EOL)
-            else:
-                fh.write(row % (t, *estimate.tolist()))
+        for t, ok in zip(traj.times.tolist(), live.tolist()):
+            fh.write(row % (t, *next(estimates).tolist()) if ok else f"{t:.17g}" + "," * n + _EOL)
 
 
 # -- run manifests --------------------------------------------------------------------

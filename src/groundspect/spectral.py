@@ -96,7 +96,7 @@ def fiedler_pair(grounded: GroundedLaplacian) -> SpectralResult:
     with _one_blas_thread():
         w, vecs = np.linalg.eigh(grounded.matrix)
     lam = float(w[0])
-    v = _unit_positive(vecs[:, 0])
+    (v,) = _unit_positive(vecs[:, :1].T)
     if lam <= 1e-12 or lam >= 1.0:
         raise FiedlerOutOfRangeError(
             f"smallest eigenvalue {lam:.6g} outside (0,1); graph disconnected "
@@ -112,9 +112,11 @@ def fiedler_pair(grounded: GroundedLaplacian) -> SpectralResult:
 
 
 def _unit_positive(v: np.ndarray) -> np.ndarray:
-    """v scaled to unit Euclidean norm, its largest-magnitude entry made positive."""
-    u = v / np.linalg.norm(v)
-    return -u if u[np.abs(u).argmax()] < 0.0 else u
+    """Each row of v (T, n) scaled to unit norm, its largest-magnitude entry made positive."""
+    v = np.ascontiguousarray(v)  # each norm a stride-1 ddot, as np.linalg.norm takes it
+    u = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    peak = u[np.arange(len(u)), np.abs(u).argmax(axis=1)]
+    return np.where(peak[:, None] < 0.0, -u, u)
 
 
 @dataclass(frozen=True)

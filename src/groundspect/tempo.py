@@ -39,7 +39,10 @@ def relative_tempo(velocities: np.ndarray, i: int, j: int) -> float:
     projection ratio <xdot_i, xdot_j> / <xdot_j, xdot_j>, which reduces to
     the same number when all velocities are parallel (the late-time regime).
     """
-    return float(_tempos(_as_2d(velocities), j)[i])
+    live, values = _tempos(_as_2d(velocities)[None], np.array([j]))
+    if not live[0]:
+        raise ZeroReferenceVelocityError(f"agent {j} has zero velocity")
+    return float(values[0, i])
 
 
 def estimate_fiedler(velocities: np.ndarray) -> tuple[int, np.ndarray]:
@@ -50,16 +53,15 @@ def estimate_fiedler(velocities: np.ndarray) -> tuple[int, np.ndarray]:
     the division. The estimate is unit-norm with positive orientation.
     """
     vel = _as_2d(velocities)
-    norms = np.linalg.norm(vel, axis=1)
-    if not norms.max() > _ZERO_GUARD:
+    (ref,), (live,), estimates = _estimates(vel[None])
+    if not live and not np.linalg.norm(vel, axis=1).max() > _ZERO_GUARD:
         raise AllVelocitiesZeroError(
             "all velocities are zero: measured at equilibrium (x0 = x* or t too large)"
         )
-    ref = int(norms.argmax())
-    values = _tempos(vel, ref)
-    estimate = _unit_positive(values)
-    estimate.flags.writeable = False
-    return ref, estimate
+    if not live:
+        raise ZeroReferenceVelocityError(f"agent {ref} has zero velocity")
+    estimates.flags.writeable = False
+    return int(ref), estimates[0]
 
 
 @dataclass(frozen=True)
@@ -191,15 +193,24 @@ def vector_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(cosine))
 
 
-def _tempos(vel: np.ndarray, j: int) -> np.ndarray:
-    """Every agent's relative tempo against agent j; agent j's own is exactly 1."""
-    ref = vel[j]
-    denom = float(ref @ ref)
-    if not denom > _ZERO_GUARD:  # zero, or so small that its square underflows
-        raise ZeroReferenceVelocityError(f"agent {j} has zero velocity")
-    values = (vel @ ref) / denom
-    values[j] = 1.0
-    return values
+def _estimates(vel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise estimate_fiedler over a (T, n, d) stack, bit for bit: (refs, live, (L, n))."""
+    refs = np.linalg.norm(vel, axis=2).argmax(axis=1)
+    live, values = _tempos(vel, refs)
+    return refs, live, _unit_positive(values)
+
+
+def _tempos(vel: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's relative tempo against agent j (agent j's own exactly 1), row-wise over a
+    (T, n, d) stack with j (T,): (live, (L, n) for the live rows). A row is dead when its
+    reference velocity is zero or so small that its square underflows."""
+    rows = np.arange(len(vel))
+    ref = vel[rows, j][:, None, :]  # (T, 1, d)
+    denom = (ref @ ref.swapaxes(1, 2))[:, 0, 0]  # ddot, as a single row's ref @ ref
+    live = denom > _ZERO_GUARD
+    values = (vel[live] @ ref[live].swapaxes(1, 2))[:, :, 0] / denom[live, None]  # gemv per row
+    values[rows[: len(values)], j[live]] = 1.0
+    return live, values
 
 
 def _as_2d(velocities: np.ndarray) -> np.ndarray:

@@ -476,6 +476,13 @@ class TestMisfittingJson:
         assert run(subcommand, dense12_file, "--inputs", upath, "-o", tmp_path) == 2
         assert "input for node 1 is not finite" in self.single_error_line(capsys)
 
+    @pytest.mark.parametrize("entry", ['"1.5"', "true"], ids=["string-entry", "bool-entry"])
+    def test_input_entry_not_a_number(self, tmp_path, dense12_file, capsys, entry):
+        upath = tmp_path / "u.json"
+        upath.write_text('{"dimension": 1, "u": {"1": [1.0], "2": [%s]}}\n' % entry)
+        assert run("identify", dense12_file, "--inputs", upath, "-o", tmp_path) == 2
+        assert "input for node 2 has a non-numeric entry" in self.single_error_line(capsys)
+
     def test_input_beyond_float_range(self, tmp_path, dense12_file, capsys):
         upath = tmp_path / "u.json"
         upath.write_text('{"dimension": 1, "u": {"1": [1%s], "2": [1.0]}}\n' % ("0" * 400))

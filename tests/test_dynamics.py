@@ -5,6 +5,7 @@ import pytest
 
 import groundspect as gs
 from groundspect.errors import (
+    MeasurementTimeCappedWarning,
     NonFiniteStateError,
     NonGenericInitialConditionWarning,
     TimeOutOfRangeError,
@@ -55,8 +56,22 @@ class TestSteadyState:
 class TestExternalInput:
     @pytest.mark.parametrize(
         "dimension, values",
-        [(1, {0: (float("inf"),)}), (0, {0: ()}), (True, {0: (1.0,)}), (2, {0: (1.0,)})],
-        ids=["inf-entry", "zero-dimension", "bool-dimension", "short-vector"],
+        [
+            (1, {0: (float("inf"),)}),
+            (0, {0: ()}),
+            (True, {0: (1.0,)}),
+            (2, {0: (1.0,)}),
+            (1, {0: ("1.5",)}),
+            (1, {0: (True,)}),
+        ],
+        ids=[
+            "inf-entry",
+            "zero-dimension",
+            "bool-dimension",
+            "short-vector",
+            "string-entry",
+            "bool-entry",
+        ],
     )
     def test_rejected_at_construction(self, dimension, values):
         with pytest.raises(ValueError):
@@ -204,6 +219,25 @@ class TestSimulate:
         for x, v in zip(traj.states, traj.velocities):
             assert np.abs(v - (forcing - spect.grounded.matrix @ x)).max() <= tol
 
+    def test_exact_arm_equals_unflushed_formula(self):
+        # By t = 760 / lambda_max the fastest modes' coefficients are subnormal;
+        # flushing them to 0 must leave every state and velocity bit for bit.
+        rng = np.random.default_rng(41)
+        g, p = gs.dense_follower_instance(37, (2, 3, 4), rng=rng)
+        spect = decompose(g, p)
+        w, q = spect.spectrum, spect.vectors
+        u = gs.ExternalInput(2, {l: tuple(rng.uniform(-50, 50, 2)) for l in p.leaders})
+        x0 = rng.normal(size=(g.n, 2))
+        t_final = 760.0 / w[-1]
+        cfg = gs.SimConfig(dimension=2, dt=t_final / 64, t_final=t_final, integrator="exact")
+        traj = gs.simulate(spect, u, x0, cfg)
+        modal = np.exp(-np.outer(traj.times, w))[:, :, None] * (q.T @ (x0 - traj.steady))
+        assert ((modal != 0.0) & (np.abs(modal) < np.finfo(float).tiny)).sum() > 100
+        states = q @ modal
+        states += traj.steady
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.velocities.tobytes() == (q @ (modal * -w[:, None])).tobytes()
+
     def test_mode_decay_formula(self, k3):
         g, p = k3
         rng = np.random.default_rng(23)
@@ -309,11 +343,13 @@ class TestMeasurementTime:
 
     def test_underflow_cap_wins_for_tiny_gap(self):
         spectrum = np.array([0.5, 0.5 + 1e-9, 2.0])
-        t, dom = gs.choose_measurement_time(spectrum)
+        with pytest.warns(MeasurementTimeCappedWarning, match="lambda_F=0.5"):
+            t, dom = gs.choose_measurement_time(spectrum)
         assert t == pytest.approx(30.0 / 0.5)
         assert dom > 0.9  # degradation is visible, not hidden
 
     def test_degenerate_gap(self):
-        t, dom = gs.choose_measurement_time(np.array([0.5, 0.5]))
+        with pytest.warns(MeasurementTimeCappedWarning, match="predicted dominance 1$"):
+            t, dom = gs.choose_measurement_time(np.array([0.5, 0.5]))
         assert t == pytest.approx(60.0)
         assert dom == 1.0

@@ -178,6 +178,22 @@ class TestTempoCsv:
             assert line.split(",")[1:] == [""] * g.n
 
 
+def per_row_estimate(vel: np.ndarray) -> list:
+    """One tempo-CSV row's estimate as it was computed row by row: ratios against
+    the largest-norm agent, unit norm, largest entry positive; [] without a
+    usable reference."""
+    norms = np.linalg.norm(vel, axis=1)
+    j = int(norms.argmax())
+    ref = vel[j]
+    denom = float(ref @ ref)
+    if not (norms.max() > 1e-300 and denom > 1e-300):
+        return []
+    values = (vel @ ref) / denom
+    values[j] = 1.0
+    unit = values / np.linalg.norm(values)
+    return list(-unit if unit[np.abs(unit).argmax()] < 0.0 else unit)
+
+
 class TestCsvBytes:
     """The writers' text equals csv.writer's default dialect with %.17g cells."""
 
@@ -220,6 +236,29 @@ class TestCsvBytes:
             ["0.5"] + [f"{x:.17g}" for x in estimate],
             ["1", "", "", ""],
         ]
+        assert path.read_bytes().decode() == self.expected(rows)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_tempo_csv_equals_per_row_estimates(self, tmp_path, d):
+        rng = np.random.default_rng(43)
+        g, p = gs.dense_follower_instance(37, (2, 3, 4), rng=rng)
+        spect = decompose(g, p)
+        u = gs.ExternalInput(d, {l: tuple(rng.uniform(-50, 50, d)) for l in p.leaders})
+        t_meas, _ = gs.choose_measurement_time(spect.spectrum)
+        cfg = gs.SimConfig(dimension=d, dt=t_meas / 64, t_final=t_meas)
+        traj = gs.simulate(spect, u, rng.normal(size=(g.n, d)), cfg)
+        velocities = traj.velocities.copy()
+        velocities[3] = 0.0  # an equilibrium row
+        velocities[5] *= 1e-160 / np.abs(velocities[5]).max()  # the reference's square underflows
+        velocities[6] *= 1e-140 / np.abs(velocities[6]).max()  # tiny, but a usable reference
+        traj = gs.Trajectory(traj.times, traj.states, velocities, traj.steady)
+        path = tmp_path / "tempo.csv"
+        io.write_tempo_csv(path, traj)
+        rows = [["t"] + [f"tau{i + 1}" for i in range(g.n)]]
+        for t, vel in zip(traj.times, velocities):
+            cells = [f"{x:.17g}" for x in per_row_estimate(vel)] or [""] * g.n
+            rows.append([f"{t:.17g}", *cells])
+        assert rows[4][1:] == rows[6][1:] == [""] * g.n and rows[7][1] != ""
         assert path.read_bytes().decode() == self.expected(rows)
 
 
