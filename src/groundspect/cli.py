@@ -189,8 +189,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     t_meas, _ = choose_measurement_time(spect.spectrum)
     t_final = args.t_final if args.t_final is not None else t_meas
     dt = args.dt if args.dt is not None else t_final / 512.0
-    if args.dt is None and args.integrator == "rk4":
-        dt = min(dt, 0.5 * RK4_STABILITY / spect.spectrum[-1])
+    if args.dt is None and args.integrator == "rk4":  # whole steps of at most half the limit
+        dt = t_final / max(512, int(np.ceil(t_final * spect.spectrum[-1] / (0.5 * RK4_STABILITY))))
     cfg = _sim_config(u, dt, t_final, 1, args.integrator)
     estimate, diag = run_pipeline(spect, u, x0, cfg)
 

@@ -96,9 +96,10 @@ class NonGenericInitialConditionWarning(UserWarning):
 
 
 class MeasurementTimeCappedWarning(UserWarning):
-    """The spectral gap is too small to reach the dominance target before the
-    velocities underflow; the measurement time is capped and the slowest
-    mode dominates less than targeted."""
+    """The measurement comes before the dominance target is reached: the
+    spectral gap is too small to reach it before the velocities underflow, or
+    the recorded grid has no row near the certified time. The slowest mode
+    dominates less than targeted."""
 
 
 def as_int(value: object, name: str = "node label") -> int:

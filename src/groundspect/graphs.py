@@ -1,11 +1,11 @@
 """Undirected graphs, leader/follower partitions, and the grounded Laplacian.
 
 Node indices are 0-based and dense (0..n-1). All edge weights are 1. A Graph
-holds its edges twice, built once by build_graph: as the sorted tuple of
-canonical pairs that files are written from, and as a read-only boolean
-adjacency matrix that every graph-level quantity reads. Matrices built from
-it are dense float arrays with exact integer entries, so row-sum identities
-can be asserted without tolerance.
+holds its edges twice: as a read-only boolean adjacency matrix that every
+graph-level quantity reads, and as the sorted tuple of canonical pairs that
+files are written from, which one constructor derives from the adjacency.
+Matrices built from it are dense float arrays with exact integer entries, so
+row-sum identities can be asserted without tolerance.
 """
 
 from __future__ import annotations
@@ -49,21 +49,27 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
-    Rejects self-loops, duplicate pairs (in either order), and endpoints
-    outside [0, n). The first offending edge in input order is reported,
-    checked for range, then self-loop, then duplicate.
+    Rejects non-integer endpoints (a bool, a fraction or a string raises
+    ValueError naming the edge), then self-loops, duplicate pairs (in either
+    order), and endpoints outside [0, n). The first offending edge in input
+    order is reported, checked for range, then self-loop, then duplicate.
     """
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes, got n={n}")
     edges = list(edges)
     if not set(map(len, edges)) <= {2}:
         raise ValueError("every edge must be a pair of node indices")
+    flat = list(chain.from_iterable(edges))
+    if not set(map(type, flat)) <= {int}:  # else each endpoint by the as_int rule
+        for edge in edges:
+            for x in edge:
+                as_int(x, f"endpoint of edge {tuple(edge)}")
     try:
-        flat = np.fromiter(chain.from_iterable(edges), np.int64)
+        flat = np.fromiter(flat, np.int64)
     except OverflowError:  # beyond int64 is out of range, as -1 is
-        flat = np.array([x if abs(x) <= n else -1 for x in map(int, chain.from_iterable(edges))])
+        flat = np.array([x if abs(x) <= n else -1 for x in map(int, flat)])
     lo, hi = np.minimum(flat[0::2], flat[1::2]), np.maximum(flat[0::2], flat[1::2])
-    keys, first = np.unique(lo * n + hi, return_index=True)
+    _, first = np.unique(lo * n + hi, return_index=True)
     repeated = np.ones(len(edges), dtype=bool)
     repeated[first] = False
     offending = (lo < 0) | (hi >= n) | (lo == hi) | repeated
@@ -76,9 +82,14 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[lo, hi] = adjacency[hi, lo] = True
+    return _graph(adjacency)
+
+
+def _graph(adjacency: np.ndarray) -> Graph:
+    """The Graph of a valid adjacency (symmetric, boolean, empty diagonal), made read-only."""
     adjacency.flags.writeable = False
-    canonical = zip((keys // n).tolist(), (keys % n).tolist())
-    return Graph(n=n, edges=tuple(canonical), adjacency=adjacency)
+    i, j = np.nonzero(np.triu(adjacency))
+    return Graph(n=len(adjacency), edges=tuple(zip(i.tolist(), j.tolist())), adjacency=adjacency)
 
 
 def is_connected(g: Graph) -> bool:

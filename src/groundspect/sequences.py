@@ -20,7 +20,7 @@ from .errors import InfeasibleConfigError, as_int
 from .graphs import (
     Graph,
     Partition,
-    build_graph,
+    _graph,
     is_connected,
     leaders_nonadjacent,
     make_partition,
@@ -95,50 +95,42 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
     until the minimum follower-follower degree strictly exceeds the previous
     element's; leader adjacency never changes after element 0.
 
-    Each element costs O(F^2) to list the F followers' absent pairs, plus
-    O(1) per added edge: the follower-follower degrees and the count at their
-    minimum are updated at the two endpoints only.
+    One boolean adjacency, sized for the last element, carries the family;
+    each element is a read-only copy of its leading block. An element costs
+    one vectorized scan of the follower block for its absent pairs, plus O(1)
+    Python work per added edge: the follower-follower degrees and the count
+    at their minimum change at the two endpoints only.
     """
-    n_leaders = len(cfg.leader_degrees)
-    if max(cfg.leader_degrees) > cfg.initial_followers:
+    n_leaders, f = len(cfg.leader_degrees), cfg.initial_followers
+    if max(cfg.leader_degrees) > f:
         raise InfeasibleConfigError(
-            f"leader degree {max(cfg.leader_degrees)} exceeds follower count "
-            f"{cfg.initial_followers}"
+            f"leader degree {max(cfg.leader_degrees)} exceeds follower count {f}"
         )
     rng = np.random.default_rng(cfg.rng_seed)
-    leaders = list(range(n_leaders))
-    followers = list(range(n_leaders, n_leaders + cfg.initial_followers))
-    deg = [0] * len(followers)  # deg[k]: follower-follower degree of node n_leaders + k
-
-    edges: set[tuple[int, int]] = set()  # each stored as (smaller, larger)
-    # Random recursive spanning tree over the followers.
-    for idx in range(1, len(followers)):
+    grow = cfg.growth == "add_nodes_and_edges"
+    n = n_leaders + f
+    adj = np.zeros((n + (cfg.steps - 1 if grow else 0),) * 2, dtype=bool)
+    ff = adj[n_leaders:, n_leaders:]  # the follower block, a view
+    for idx in range(1, f):  # a random recursive spanning tree over the followers
         anchor = int(rng.integers(idx))
-        edges.add((followers[anchor], followers[idx]))
-        deg[anchor] += 1
-        deg[idx] += 1
-    for leader, d in zip(leaders, cfg.leader_degrees):
-        picks = rng.choice(len(followers), size=d, replace=False)
-        edges.update((leader, followers[int(k)]) for k in picks)
+        ff[anchor, idx] = ff[idx, anchor] = True
+    deg = ff[:f, :f].sum(axis=1).tolist()  # deg[k]: follower-follower degree of node n_leaders + k
+    for leader, d in enumerate(cfg.leader_degrees):
+        picks = n_leaders + rng.choice(f, size=d, replace=False)
+        adj[leader, picks] = adj[picks, leader] = True
 
-    elements = [_materialize(leaders, followers, edges)]
-    prev_min = min(deg)
-    saturated = False
-
-    for _ in range(1, cfg.steps):
-        if cfg.growth == "add_nodes_and_edges":
-            anchor = int(rng.integers(len(followers)))
-            e = (followers[anchor], n_leaders + len(followers))
-            followers.append(e[1])
+    partition = make_partition(n, range(n_leaders))
+    elements, prev_min, saturated = [], -1, False  # so element 0 adds no edge
+    for step in range(cfg.steps):
+        if grow and step:
+            anchor = int(rng.integers(f))
+            ff[anchor, f] = ff[f, anchor] = True
             deg[anchor] += 1
             deg.append(1)
-            edges.add(e)
-        absent = [
-            (a, b)
-            for i, a in enumerate(followers)
-            for b in followers[i + 1 :]
-            if (a, b) not in edges
-        ]
+            f, n = f + 1, n + 1
+            partition = make_partition(n, range(n_leaders))
+        # keys a*f + b of the absent pairs a < b, in the lexicographic order the draws index
+        absent = np.flatnonzero(np.triu(~ff[:f, :f], 1)).tolist()
         current = min(deg)
         at_min = deg.count(current)
         while current <= prev_min:
@@ -147,18 +139,18 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
                 break
             k = int(rng.integers(len(absent)))
             absent[k], absent[-1] = absent[-1], absent[k]
-            e = absent.pop()
-            edges.add(e)
-            for node in e:
-                deg[node - n_leaders] += 1
-                at_min -= deg[node - n_leaders] == current + 1
+            a, b = divmod(absent.pop(), f)
+            ff[a, b] = ff[b, a] = True
+            for node in (a, b):
+                deg[node] += 1
+                at_min -= deg[node] == current + 1
             if at_min == 0:
                 current += 1
                 at_min = deg.count(current)
         if saturated:
             log.debug("follower subgraph saturated after %d elements", len(elements))
             break
-        elements.append(_materialize(leaders, followers, edges))
+        elements.append((_graph(adj[:n, :n].copy()), partition))
         prev_min = current
 
     return GraphSequence(elements=tuple(elements), config=cfg, saturated=saturated)
@@ -208,14 +200,14 @@ def random_connected_graph(
     """
     if not (1 <= n_leaders <= n - 1):
         raise ValueError("need 1 <= n_leaders <= n-1")
-    edges = {_canon(i, int(rng.integers(i))) for i in range(1, n)}
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < extra_edge_prob:
-                edges.add((i, j))
+    upper = np.zeros((n, n), dtype=bool)
+    for i in range(1, n):
+        upper[rng.integers(i), i] = True
+    # one draw per absent pair, in row-major order
+    absent = np.flatnonzero(np.triu(~upper, 1))
+    upper.flat[absent[rng.random(absent.size) < extra_edge_prob]] = True
     leaders = rng.choice(n, size=n_leaders, replace=False)
-    g = build_graph(n, sorted(edges))
-    return g, make_partition(n, leaders)
+    return _graph(upper | upper.T), make_partition(n, leaders)
 
 
 def random_ensemble(
@@ -249,30 +241,16 @@ def dense_follower_instance(
     n_leaders = len(leader_degrees)
     if max(leader_degrees) > n_followers:
         raise InfeasibleConfigError("leader degree exceeds follower count")
-    followers = list(range(n_leaders, n_leaders + n_followers))
-    edges = [
-        (a, b) for i, a in enumerate(followers) for b in followers[i + 1 :]
-    ]
+    n = n_leaders + n_followers
+    adj = np.zeros((n, n), dtype=bool)
+    adj[n_leaders:, n_leaders:] = ~np.eye(n_followers, dtype=bool)
     offset = 0
     for leader, d in enumerate(leader_degrees):
         if rng is None:
-            picks = [(offset + t) % n_followers for t in range(d)]
+            picks = n_leaders + (offset + np.arange(d)) % n_followers
             offset += d
         else:
-            picks = [int(k) for k in rng.choice(n_followers, size=d, replace=False)]
-        edges.extend(_canon(leader, followers[k]) for k in picks)
-    g = build_graph(n_leaders + n_followers, edges)
-    return g, make_partition(g.n, range(n_leaders))
-
-
-def _canon(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _materialize(
-    leaders: list[int], followers: list[int], edges: set[tuple[int, int]]
-) -> tuple[Graph, Partition]:
-    n = len(leaders) + len(followers)
-    g = build_graph(n, edges)
-    return g, make_partition(n, leaders)
+            picks = n_leaders + rng.choice(n_followers, size=d, replace=False)
+        adj[leader, picks] = adj[picks, leader] = True
+    return _graph(adj), make_partition(n, range(n_leaders))
 

@@ -10,6 +10,7 @@ follower entries.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,6 +25,7 @@ from .dynamics import (
 from .errors import (
     AllVelocitiesZeroError,
     DegenerateEstimateError,
+    MeasurementTimeCappedWarning,
     ZeroReferenceVelocityError,
 )
 from .spectral import SpectralResult, _unit_positive
@@ -156,8 +158,9 @@ def run_pipeline(
     time nearest the certified one, and both dominance numbers are taken
     there. With cfg=None an exact-integrator config is derived that records
     only t=0 and the certified time; an explicit cfg's recorded grid caps the
-    measurement at its last row (any dominance degradation shows up in the
-    diagnostics).
+    measurement at its last row. A row measured before the certified time
+    warns with MeasurementTimeCappedWarning, and its dominance shows in the
+    diagnostics.
     """
     t_meas, _ = choose_measurement_time(spect.spectrum)
     if cfg is None:
@@ -165,16 +168,23 @@ def run_pipeline(
     traj = simulate(spect, u, x0, cfg)
     idx = traj.nearest_index(min(t_meas, float(traj.times[-1])))
     snapped = float(traj.times[idx])
+    w = spect.spectrum
+    predicted = float(np.exp(-(w[1] - w[0]) * snapped))
+    if snapped < t_meas * (1.0 - 1e-9):  # earlier than choose_measurement_time's nudge explains
+        warnings.warn(
+            f"no recorded time near the certified t={t_meas:.6g}: measuring at t={snapped:.6g}, "
+            f"predicted dominance {predicted:.6g}",
+            MeasurementTimeCappedWarning,
+        )
     reference, estimate = estimate_fiedler(traj.velocities[idx])
     result = identify_leaders(estimate)
 
     # mode k's velocity amplitude at t is w_k exp(-w_k t) |<q_k, x0 - x*>|
-    w = spect.spectrum
     modal = spect.vectors.T @ (np.asarray(x0, dtype=float) - traj.steady)
     amp = w * np.exp(-w * snapped) * np.linalg.norm(modal, axis=1)
     diag = PipelineDiagnostics(
         measurement_time=snapped,
-        predicted_dominance=float(np.exp(-(w[1] - w[0]) * snapped)),
+        predicted_dominance=predicted,
         measured_dominance=float("inf") if amp[0] == 0.0 else float(amp[1:].max() / amp[0]),
         reference=reference,
         angle_to_true=vector_angle(estimate, spect.v_f),

@@ -15,6 +15,8 @@ import pytest
 import groundspect as gs
 from groundspect import cli, io
 from groundspect.cli import main
+from groundspect.dynamics import RK4_STABILITY
+from groundspect.errors import MeasurementTimeCappedWarning
 
 from conftest import K3_LAMBDA
 
@@ -205,6 +207,28 @@ class TestIdentify:
         t = payload["measurement_time"]
         assert t == pytest.approx(5.39)
         assert payload["predicted_dominance"] == np.exp(-(w[1] - w[0]) * t)
+
+    def test_far_horizon_measures_early_with_a_warning(self, tmp_path, dense12_file):
+        # --t-final 20000 puts rows 39 apart, so t = 0 is nearest the certified 5.24
+        with pytest.warns(MeasurementTimeCappedWarning, match="at t=0, predicted dominance 1"):
+            code = run("identify", dense12_file, "--t-final", 20000, "-o", tmp_path)
+        payload = io.load_json(tmp_path / "dense12.leaders.json")
+        assert payload["measurement_time"] == 0.0
+        assert code == (0 if payload["recovered"] else 1)
+
+    def test_rk4_default_grid_ends_at_the_certified_time(self, tmp_path):
+        # on an 18-node path half the rk4 stability limit needs 688 steps, not 512;
+        # 687 steps of that limit would end the grid before the certified time
+        path = tmp_path / "path18.json"
+        g, p = gs.build_graph(18, [(i, i + 1) for i in range(17)]), gs.make_partition(18, [0])
+        io.save_graph(path, g, p)
+        assert run("identify", path, "--integrator", "rk4", "-o", tmp_path) == 0
+        spectrum = gs.fiedler_pair(gs.grounded_laplacian(g, p)).spectrum
+        t_meas, _ = gs.choose_measurement_time(spectrum)
+        times, _, _ = io.read_trajectory_csv(tmp_path / "path18.traj.csv")
+        assert len(times) == 1 + 688 and times[1] <= 0.5 * RK4_STABILITY / spectrum[-1]
+        payload = io.load_json(tmp_path / "path18.leaders.json")
+        assert payload["measurement_time"] == pytest.approx(t_meas, rel=1e-12)
 
     def test_seed_repetition_reproduces_outputs(self, tmp_path, dense12_file):
         a, b = tmp_path / "a", tmp_path / "b"

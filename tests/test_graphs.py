@@ -1,5 +1,6 @@
 """Graph construction, partitions, and grounded-Laplacian assembly."""
 
+import re
 from collections import deque
 
 import numpy as np
@@ -58,6 +59,26 @@ class TestBuildGraph:
     def test_too_small(self):
         with pytest.raises(ValueError):
             gs.build_graph(1, [])
+
+    @pytest.mark.parametrize(
+        "edge, shown",
+        [
+            ((0, 1.5), "(0, 1.5)"),
+            ((0, True), "(0, True)"),
+            ((0, "1"), "(0, '1')"),
+            ((2.0, 0), "(2.0, 0)"),
+        ],
+        ids=["fraction", "bool", "string", "integral-float"],
+    )
+    def test_non_integer_endpoint_names_the_edge(self, edge, shown):
+        # refused, as errors.as_int refuses it, before any truncation to an int
+        message = re.escape(f"endpoint of edge {shown} must be an integer")
+        with pytest.raises(ValueError, match=message):
+            gs.build_graph(3, [(1, 2), edge])
+
+    def test_numpy_integer_endpoints_accepted(self):
+        g = gs.build_graph(3, np.array([[0, 1], [2, 1]]))
+        assert g.edges == ((0, 1), (1, 2)) and all(type(x) is int for e in g.edges for x in e)
 
 
 class TestConnectivity:

@@ -1,16 +1,19 @@
 """Densifying-family generation, validation, and determinism."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groundspect as gs
 from groundspect import io
 from groundspect.errors import InfeasibleConfigError
+
+from reference_sequences import reference_random_graph, reference_sequence
 
 
 def small_cfg(**kw):
@@ -113,7 +116,8 @@ class TestGenerate:
 
 # SHA-256 of the edge lists and saturation flags of PINNED_CONFIGS. Generated
 # families (and so saved sequence files) must never change for a given config;
-# the digest predates the incremental follower-degree bookkeeping.
+# the digest predates the incremental follower-degree bookkeeping and the
+# family's one carried adjacency.
 PINNED_CONFIGS = (
     gs.SequenceConfig((2, 3, 2), 30, 10, "densify_edges", 7),
     gs.SequenceConfig((2, 3), 20, 8, "add_nodes_and_edges", 8),
@@ -167,6 +171,47 @@ def test_incremental_minimum_matches_recount(
         assert mins[-1] == len(p.followers) - 1
     else:
         assert len(seq) == steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    leader_degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    extra_followers=st.integers(0, 6),
+    steps=st.integers(1, 14),
+    growth=st.sampled_from(gs.sequences.GROWTH_MODES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example([2, 2], 3, 30, "densify_edges", 9)  # PINNED_CONFIGS[2]: saturates after 4
+@example([1], 0, 12, "densify_edges", 0)  # one follower: saturates at once
+def test_matches_set_based_reference(leader_degrees, extra_followers, steps, growth, seed):
+    cfg = gs.SequenceConfig(
+        tuple(leader_degrees), max(leader_degrees) + extra_followers, steps, growth, seed
+    )
+    seq, ref = gs.generate_sequence(cfg), reference_sequence(cfg)
+    assert seq.saturated == ref.saturated
+    assert [g.edges for g, _ in seq.elements] == [g.edges for g, _ in ref.elements]
+    assert [p for _, p in seq.elements] == [p for _, p in ref.elements]
+    for (g, _), (r, _) in zip(seq.elements, ref.elements):
+        assert np.array_equal(g.adjacency, r.adjacency)
+
+
+class TestCarriedAdjacency:
+    @pytest.mark.parametrize("growth", gs.sequences.GROWTH_MODES)
+    def test_each_element_owns_a_read_only_adjacency(self, growth):
+        cfg = small_cfg(steps=6, initial_followers=8, growth=growth)
+        seq = gs.generate_sequence(cfg)
+        # generating the later elements leaves element 0 as a one-element family has it
+        alone = gs.generate_sequence(dataclasses.replace(cfg, steps=1)).elements[0][0]
+        assert np.array_equal(seq.elements[0][0].adjacency, alone.adjacency)
+        for g, _ in seq.elements:
+            a = g.adjacency
+            assert a.shape == (g.n, g.n) and a.flags.owndata and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = True
+        adjacencies = [g.adjacency for g, _ in seq.elements]
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(adjacencies) for b in adjacencies[i + 1 :]
+        )
 
 
 class TestValidate:
@@ -231,6 +276,18 @@ class TestRandomGraphs:
             assert 3 <= g.n <= 40
             assert 1 <= len(p.leaders) <= g.n - 1
             assert gs.is_connected(g)
+
+    def test_random_graph_matches_per_pair_draws(self):
+        for seed in range(40):
+            n, n_leaders = 2 + seed, 1 + seed // 2
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            (g, p), (r, q) = (
+                gs.random_connected_graph(n, n_leaders, rng, 0.3),
+                reference_random_graph(n, n_leaders, ref_rng, 0.3),
+            )
+            assert g.edges == r.edges and np.array_equal(g.adjacency, r.adjacency) and p == q
+            assert not g.adjacency.flags.writeable
+            assert rng.random() == ref_rng.random()  # the same draws, no more and no fewer
 
     def test_ensemble_is_seed_deterministic(self):
         a = gs.random_ensemble(5, seed=31)

@@ -1,5 +1,7 @@
 """Relative tempos, Fiedler estimation from velocities, and gap detection."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ import groundspect as gs
 from groundspect.errors import (
     AllVelocitiesZeroError,
     DegenerateEstimateError,
+    MeasurementTimeCappedWarning,
     ZeroReferenceVelocityError,
 )
 
@@ -210,7 +213,11 @@ class TestRunPipeline:
         u = gs.ExternalInput(dimension=2, values={0: (40.0, 35.0), 1: (16.0, 45.0)})
         x0 = np.random.default_rng(15).normal(size=(g.n, 2))
         cfg = gs.SimConfig(dimension=2, dt=dt, t_final=t_final, integrator="exact")
-        _, diag = gs.run_pipeline(spect, u, x0, cfg)
+        # a row before the certified time is measured as recorded, and said so
+        early = expected < gs.choose_measurement_time(spect.spectrum)[0]
+        message = f"near the certified t=5.23838: measuring at t={expected:g}, predicted dominance"
+        with pytest.warns(MeasurementTimeCappedWarning, match=message) if early else nullcontext():
+            _, diag = gs.run_pipeline(spect, u, x0, cfg)
         assert diag.measurement_time == pytest.approx(expected)
         gap = spect.spectrum[1] - spect.spectrum[0]
         # both dominance numbers are taken at the time actually measured
