@@ -43,7 +43,6 @@ from .sequences import (
     generate_sequence,
     random_connected_graph,
     random_ensemble,
-    validate_sequence,
 )
 from .spectral import (
     PerronReport,
@@ -104,7 +103,6 @@ __all__ = [
     "separation_quantities",
     "simulate",
     "steady_state",
-    "validate_sequence",
     "vector_angle",
     "verify_perron",
 ]

@@ -25,15 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .dynamics import (
-    INTEGRATORS,
-    RK4_STABILITY,
-    ExternalInput,
-    SimConfig,
-    choose_measurement_time,
-    simulate,
-    steady_state,
-)
+from .dynamics import ExternalInput, SimConfig, choose_measurement_time, simulate
 from .errors import FiedlerOutOfRangeError, GroundspectError, InputFormatError
 from .graphs import Graph, Partition, grounded_laplacian, is_connected
 from .identifiability import check_identifiability
@@ -85,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=_above(int, -1), default=0)
     run = argparse.ArgumentParser(add_help=False, parents=[graph, seeded, outdir])
     run.add_argument("--inputs", help="external-input JSON (default: random, seeded)")
-    run.add_argument("--integrator", choices=INTEGRATORS, default="exact")
-    run.add_argument("--x0", choices=("random", "steady"), default="random")
 
     def add(name: str, func, summary: str, parents: list) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, parents=parents)
@@ -175,7 +165,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     u, spect, x0 = _prepare_run(args)
-    cfg = _sim_config(u, args.dt, args.t_final, args.record_every, args.integrator)
+    cfg = _sim_config(u, args.dt, args.t_final, args.record_every)
     traj = simulate(spect, u, x0, cfg)
     (out,) = _outputs(args, "traj.csv")
     io.write_trajectory_csv(out, traj)
@@ -189,9 +179,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     t_meas, _ = choose_measurement_time(spect.spectrum)
     t_final = args.t_final if args.t_final is not None else t_meas
     dt = args.dt if args.dt is not None else t_final / 512.0
-    if args.dt is None and args.integrator == "rk4":  # whole steps of at most half the limit
-        dt = t_final / max(512, int(np.ceil(t_final * spect.spectrum[-1] / (0.5 * RK4_STABILITY))))
-    cfg = _sim_config(u, dt, t_final, 1, args.integrator)
+    cfg = _sim_config(u, dt, t_final, 1)
     estimate, diag = run_pipeline(spect, u, x0, cfg)
 
     leaders_out, traj_out, tempo_out = _outputs(args, "leaders.json", "traj.csv", "tempo.csv")
@@ -281,7 +269,7 @@ def _random_x0(g: Graph, u: ExternalInput, seed: int) -> np.ndarray:
 
 
 def _prepare_run(args: argparse.Namespace) -> tuple[ExternalInput, SpectralResult, np.ndarray]:
-    """Load the graph, resolve the inputs, decompose once and choose x0."""
+    """Load the graph, resolve the inputs, decompose once and draw x0."""
     g, p = io.load_graph(args.graph)
     u = io.load_inputs(args.inputs) if args.inputs else _generated_inputs(p, args.dim, args.seed)
     if set(u.values) != set(p.leaders):  # generated inputs always cover them
@@ -290,15 +278,12 @@ def _prepare_run(args: argparse.Namespace) -> tuple[ExternalInput, SpectralResul
             f"must be exactly the leaders {[i + 1 for i in p.leaders]}"
         )
     spect = fiedler_pair(grounded_laplacian(g, p))
-    x0 = steady_state(spect, u) if args.x0 == "steady" else _random_x0(g, u, args.seed)
-    return u, spect, x0
+    return u, spect, _random_x0(g, u, args.seed)
 
 
-def _sim_config(
-    u: ExternalInput, dt: float, t_final: float, record_every: int, integrator: str
-) -> SimConfig:
+def _sim_config(u: ExternalInput, dt: float, t_final: float, record_every: int) -> SimConfig:
     try:
-        return SimConfig(u.dimension, dt, t_final, record_every, integrator)
+        return SimConfig(u.dimension, dt, t_final, record_every)
     except ValueError as exc:  # parsing range-checks each flag; t_final < dt is left
         raise InputFormatError(f"{exc}: t_final={t_final:g}, dt={dt:g}") from exc
 
@@ -324,7 +309,7 @@ def _manifest(
 
 
 def _run_manifest(args: argparse.Namespace, cfg: SimConfig, outputs: list[Path]) -> None:
-    config = cfg.to_json() | {"x0": args.x0, "generated_inputs": args.inputs is None}
+    config = cfg.to_json() | {"generated_inputs": args.inputs is None}
     _manifest(args, outputs, config, {"inputs": args.inputs or "(generated)"}, args.seed)
 
 

@@ -49,11 +49,12 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
-    Rejects non-integer endpoints (a bool, a fraction or a string raises
-    ValueError naming the edge), then self-loops, duplicate pairs (in either
+    Rejects a non-integer n or endpoint (a bool, a fraction or a string
+    raises ValueError, naming the edge for an endpoint), then self-loops, duplicate pairs (in either
     order), and endpoints outside [0, n). The first offending edge in input
     order is reported, checked for range, then self-loop, then duplicate.
     """
+    n = as_int(n, "n")
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes, got n={n}")
     edges = list(edges)
@@ -120,6 +121,7 @@ class Partition:
 
 def make_partition(n: int, leaders: Iterable[NodeId]) -> Partition:
     """Build a validated Partition from a leader set."""
+    n = as_int(n, "n")
     leader_set = {as_int(i, "leader") for i in leaders}
     if not leader_set:
         raise EmptyLeaderSetError("at least one leader is required")

@@ -12,7 +12,6 @@ one numpy/BLAS build.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from pathlib import Path
@@ -27,8 +26,8 @@ from .graphs import Graph, Partition, build_graph, make_partition
 from .sequences import GraphSequence, SequenceConfig
 from .tempo import _estimates
 
-# Rows end as in the csv module's default dialect, which read_trajectory_csv
-# parses; %.17g round-trips every float and no cell ever needs quoting.
+# Rows end as in the csv module's default dialect, so csv.reader parses them;
+# %.17g round-trips every float and no cell ever needs quoting.
 _EOL = "\r\n"
 
 
@@ -121,10 +120,6 @@ def load_inputs(path: str | Path) -> ExternalInput:
     return inputs_from_dict(load_json(path), where=str(path))
 
 
-def save_inputs(path: str | Path, u: ExternalInput) -> None:
-    save_json(path, u.to_json())
-
-
 # -- sequences ---------------------------------------------------------------------
 
 def sequence_to_dict(seq: GraphSequence) -> dict:
@@ -137,7 +132,7 @@ def sequence_to_dict(seq: GraphSequence) -> dict:
 
 def sequence_config_from_dict(payload: Any, where: str = "config") -> SequenceConfig:
     """Parse a sequence config; growth and rng_seed take their defaults if absent."""
-    _json_object(payload, where)
+    _json_object(payload, where, "leader_degrees", "initial_followers", "steps")
     try:
         return SequenceConfig(
             leader_degrees=tuple(payload["leader_degrees"]),
@@ -146,8 +141,6 @@ def sequence_config_from_dict(payload: Any, where: str = "config") -> SequenceCo
             growth=str(payload.get("growth", "densify_edges")),
             rng_seed=payload.get("rng_seed", 0),
         )
-    except KeyError as exc:
-        raise InputFormatError(f"{where}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
 
@@ -181,24 +174,6 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
         fh.write(",".join(header) + _EOL)
         for t, x, v in zip(traj.times.tolist(), traj.states, traj.velocities):
             fh.write(row % (t, *x.ravel().tolist(), *v.ravel().tolist()))
-
-
-def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (times, states, velocities); the node/dim layout follows the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    data = np.array(rows)
-    n_cols = len(header) - 1
-    n_state = n_cols // 2
-    dims = {int(name.split("_")[1]) for name in header[1 : 1 + n_state]}
-    d = max(dims)
-    n = n_state // d
-    times = data[:, 0]
-    states = data[:, 1 : 1 + n_state].reshape(-1, n, d)
-    velocities = data[:, 1 + n_state :].reshape(-1, n, d)
-    return times, states, velocities
 
 
 def write_tempo_csv(path: str | Path, traj: Trajectory) -> None:

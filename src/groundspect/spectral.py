@@ -22,9 +22,11 @@ from .graphs import Graph, GroundedLaplacian, Partition
 # Mixed-sign tolerance for the positive orientation of the Fiedler vector.
 _SIGN_TOL = 1e-9
 # Thread-count C symbols: the prefixed OpenBLAS builds that numpy's and other
-# binary wheels bundle (64- and 32-bit integers), and a system OpenBLAS.
+# binary wheels bundle (64- and 32-bit integers), the unprefixed 64-bit build
+# of numpy 1.22-1.26 wheels, and a system OpenBLAS.
 _THREAD_SYMBOLS = (
-    "scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"
+    "scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_", "openblas_{}_num_threads",
 )
 
 

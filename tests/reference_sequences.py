@@ -6,6 +6,8 @@ element through the validating ``build_graph``. It draws from the generator
 in the same order as ``generate_sequence``, so for one config both must give
 the same edges, adjacency and saturation flag. ``reference_random_graph``
 draws ``random_connected_graph``'s extra edges one pair at a time.
+``validate_sequence`` checks the five family properties every generated
+family must have.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from groundspect.errors import InfeasibleConfigError
-from groundspect.graphs import build_graph, make_partition
+from groundspect.graphs import (
+    build_graph,
+    is_connected,
+    leaders_nonadjacent,
+    make_partition,
+    min_follower_degree,
+)
 from groundspect.sequences import GraphSequence, SequenceConfig
 
 
@@ -91,3 +99,34 @@ def reference_random_graph(n, n_leaders, rng, extra_edge_prob=0.25):
                 edges.add((i, j))
     leaders = rng.choice(n, size=n_leaders, replace=False)
     return build_graph(n, sorted(edges)), make_partition(n, leaders)
+
+
+def validate_sequence(seq: GraphSequence) -> dict[str, int]:
+    """Check the five family properties element by element.
+
+    Returns each failed property's name mapped to its first failing element
+    index; an empty dict means every property held on every element.
+    """
+    if not seq.elements:
+        raise ValueError("empty sequence")
+    failures: dict[str, int] = {}
+    fail = failures.setdefault  # keeps each property's first failing index
+
+    first_g, first_p = seq.elements[0]
+    base_degrees = [first_g.degree(j) for j in first_p.leaders]
+    prev_min = None
+    for idx, (g, p) in enumerate(seq.elements):
+        if not is_connected(g):
+            fail("connected", idx)
+        if p.leaders != first_p.leaders:
+            fail("leader_set_fixed", idx)
+        elif [g.degree(j) for j in p.leaders] != base_degrees:
+            fail("leader_degrees_constant", idx)
+        if not leaders_nonadjacent(g, p):
+            fail("leaders_nonadjacent", idx)
+        current = min_follower_degree(g, p)
+        if prev_min is not None and current <= prev_min:
+            fail("min_follower_degree_increasing", idx)
+        prev_min = current
+
+    return failures

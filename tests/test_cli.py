@@ -15,10 +15,10 @@ import pytest
 import groundspect as gs
 from groundspect import cli, io
 from groundspect.cli import main
-from groundspect.dynamics import RK4_STABILITY
 from groundspect.errors import MeasurementTimeCappedWarning
 
 from conftest import K3_LAMBDA
+from trajectory_csv import read_trajectory_csv
 
 # A graph file that parses but has too few nodes for any graph.
 ONE_NODE = {"n": 1, "edges": [], "leaders": [1]}
@@ -142,7 +142,7 @@ class TestSimulate:
         assert (
             run("simulate", k3_file, "--dim", 2, "--t-final", 2.0, "-o", tmp_path) == 0
         )
-        times, states, velocities = io.read_trajectory_csv(tmp_path / "k3.traj.csv")
+        times, states, velocities = read_trajectory_csv(tmp_path / "k3.traj.csv")
         assert times[0] == 0.0 and times[-1] == pytest.approx(2.0)
         assert states.shape[1:] == (3, 2)
         assert velocities.shape == states.shape
@@ -154,7 +154,7 @@ class TestSimulate:
             run("simulate", k3_file, "--inputs", upath, "--t-final", 60, "-o", tmp_path)
             == 0
         )
-        _, states, _ = io.read_trajectory_csv(tmp_path / "k3.traj.csv")
+        _, states, _ = read_trajectory_csv(tmp_path / "k3.traj.csv")
         np.testing.assert_allclose(states[-1], 5.0, atol=1e-3)
 
     def test_disconnected_graph_exits_one(self, tmp_path, capsys):
@@ -181,21 +181,14 @@ class TestIdentify:
             "reference", "angle_to_true", "recovered",
         }  # README's list
         # the reference is the 1-based label of the fastest agent at the measured time
-        times, _, velocities = io.read_trajectory_csv(out / "dense12.traj.csv")
+        times, _, velocities = read_trajectory_csv(out / "dense12.traj.csv")
         fastest = np.linalg.norm(velocities[times == payload["measurement_time"]][0], axis=1)
         assert payload["reference"] == int(fastest.argmax()) + 1
         assert (out / "dense12.traj.csv").exists()
         assert (out / "dense12.tempo.csv").exists()
 
-    def test_steady_start_exits_nonzero(self, tmp_path, dense12_file, capsys):
-        assert (
-            run("identify", dense12_file, "--x0", "steady", "-o", tmp_path) == 1
-        )
-        assert "AllVelocitiesZero" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("integrator", ["exact", "rk4"])
-    def test_writes_measured_dominance(self, tmp_path, dense12_file, integrator):
-        assert run("identify", dense12_file, "--integrator", integrator, "-o", tmp_path) == 0
+    def test_writes_measured_dominance(self, tmp_path, dense12_file):
+        assert run("identify", dense12_file, "-o", tmp_path) == 0
         payload = io.load_json(tmp_path / "dense12.leaders.json")
         assert payload["measured_dominance"] <= 1e-5
 
@@ -215,20 +208,6 @@ class TestIdentify:
         payload = io.load_json(tmp_path / "dense12.leaders.json")
         assert payload["measurement_time"] == 0.0
         assert code == (0 if payload["recovered"] else 1)
-
-    def test_rk4_default_grid_ends_at_the_certified_time(self, tmp_path):
-        # on an 18-node path half the rk4 stability limit needs 688 steps, not 512;
-        # 687 steps of that limit would end the grid before the certified time
-        path = tmp_path / "path18.json"
-        g, p = gs.build_graph(18, [(i, i + 1) for i in range(17)]), gs.make_partition(18, [0])
-        io.save_graph(path, g, p)
-        assert run("identify", path, "--integrator", "rk4", "-o", tmp_path) == 0
-        spectrum = gs.fiedler_pair(gs.grounded_laplacian(g, p)).spectrum
-        t_meas, _ = gs.choose_measurement_time(spectrum)
-        times, _, _ = io.read_trajectory_csv(tmp_path / "path18.traj.csv")
-        assert len(times) == 1 + 688 and times[1] <= 0.5 * RK4_STABILITY / spectrum[-1]
-        payload = io.load_json(tmp_path / "path18.leaders.json")
-        assert payload["measurement_time"] == pytest.approx(t_meas, rel=1e-12)
 
     def test_seed_repetition_reproduces_outputs(self, tmp_path, dense12_file):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -542,6 +521,15 @@ class TestMisc:
     def test_oracle_command_is_gone(self, k3_file):
         assert exit_code("oracle", k3_file) == 2
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "identify"])
+    @pytest.mark.parametrize(
+        "flag", [["--integrator", "rk4"], ["--x0", "steady"]], ids=["integrator", "x0"]
+    )
+    def test_reference_flags_are_gone(self, tmp_path, k3_file, capsys, subcommand, flag):
+        # rk4 is reached through gs.SimConfig(integrator="rk4"), not the CLI
+        assert exit_code(subcommand, k3_file, *flag, "-o", tmp_path) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_import_leaves_scipy_unloaded(self):
         src = Path(gs.__file__).resolve().parent.parent
         code = "import sys, groundspect.cli; print('scipy' in sys.modules)"
@@ -666,19 +654,18 @@ class TestManifests:
                 "t_final": 2.0,
                 "record_every": 1,
                 "integrator": "exact",
-                "x0": "random",
                 "generated_inputs": True,
             },
             "inputs": {"graph": str(k3_file), "inputs": "(generated)"},
             "outputs": [str(out / "k3.traj.csv")],
         }
 
-    def test_simulate_rk4_file_inputs(self, tmp_path, k3_file):
+    def test_simulate_file_inputs(self, tmp_path, k3_file):
         upath = tmp_path / "u.json"
         io.save_json(upath, {"dimension": 1, "u": {"1": [5.0]}})
         out = tmp_path / "out"
-        argv = ["--inputs", upath, "--integrator", "rk4", "--record-every", 7,
-                "--x0", "steady", "--t-final", 1.0, "--dt", 0.05, "--seed", 3]
+        argv = ["--inputs", upath, "--record-every", 7, "--t-final", 1.0, "--dt", 0.05,
+                "--seed", 3]
         assert run("simulate", k3_file, *argv, "-o", out) == 0
         assert listing(out) == ["k3.simulate.manifest.json", "k3.traj.csv"]
         assert manifest_of(out / "k3.simulate.manifest.json") == {
@@ -690,8 +677,7 @@ class TestManifests:
                 "dt": 0.05,
                 "t_final": 1.0,
                 "record_every": 7,
-                "integrator": "rk4",
-                "x0": "steady",
+                "integrator": "exact",
                 "generated_inputs": False,
             },
             "inputs": {"graph": str(k3_file), "inputs": str(upath)},
@@ -712,8 +698,7 @@ class TestManifests:
             "subcommand", "tool_version", "rng_seed", "config", "inputs", "outputs"
         }
         assert set(payload["config"]) == {
-            "dimension", "dt", "t_final", "record_every", "integrator", "x0",
-            "generated_inputs",
+            "dimension", "dt", "t_final", "record_every", "integrator", "generated_inputs",
         }
         assert payload["config"]["generated_inputs"] is not with_inputs
         assert payload["inputs"] == {

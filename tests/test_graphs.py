@@ -80,6 +80,16 @@ class TestBuildGraph:
         g = gs.build_graph(3, np.array([[0, 1], [2, 1]]))
         assert g.edges == ((0, 1), (1, 2)) and all(type(x) is int for e in g.edges for x in e)
 
+    @pytest.mark.parametrize("n", [3.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: gs.build_graph(n, [(0, 1)]), lambda n: gs.make_partition(n, [0])],
+        ids=["build_graph", "make_partition"],
+    )
+    def test_non_integer_node_count_rejected(self, make, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            make(n)
+
 
 class TestConnectivity:
     def test_p2_connected(self):

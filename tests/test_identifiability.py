@@ -275,6 +275,8 @@ class TestSeparatedImpliesCut:
             if rep.separated:
                 certified += 1
                 assert gs.identify_leaders(rep.spectral.v_f).leader_set == set(p.leaders)
+                # the limit side agrees although epsilon_d_margin is not in the verdict
+                assert rep.epsilon_d_margin > 0.0
         assert certified > 100  # 188 on x86-64 with OpenBLAS
 
     def test_two_degree_groups_declined(self):

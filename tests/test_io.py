@@ -11,6 +11,7 @@ from groundspect import io
 from groundspect.errors import InputFormatError
 
 from conftest import decompose
+from trajectory_csv import read_trajectory_csv
 
 
 class TestGraphFiles:
@@ -52,7 +53,7 @@ class TestInputFiles:
     def test_roundtrip(self, tmp_path):
         u = gs.ExternalInput(dimension=2, values={1: (40.0, 35.0), 3: (48.0, 44.0)})
         path = tmp_path / "u.json"
-        io.save_inputs(path, u)
+        io.save_json(path, u.to_json())
         back = io.load_inputs(path)
         assert back.dimension == 2
         assert back.values == {1: (40.0, 35.0), 3: (48.0, 44.0)}
@@ -107,6 +108,30 @@ class TestNonObjectPayloads:
             load(path)
 
 
+class TestMissingFields:
+    """Each parser names the required field that a payload lacks."""
+
+    @pytest.mark.parametrize(
+        "parse, payload",
+        [
+            (io.graph_from_dict, {"n": 2, "edges": [[1, 2]], "leaders": [1]}),
+            (io.inputs_from_dict, {"dimension": 1, "u": {"1": [1.0]}}),
+            (
+                io.sequence_config_from_dict,
+                {"leader_degrees": [2], "initial_followers": 5, "steps": 3},
+            ),
+        ],
+        ids=["graph", "inputs", "sequence-config"],
+    )
+    def test_message_names_the_field(self, parse, payload):
+        parse(payload)
+        for key in payload:
+            partial = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(InputFormatError) as exc:
+                parse(partial, where="f.json")
+            assert str(exc.value) == f"f.json: missing field '{key}'"
+
+
 class TestSequenceFiles:
     def test_roundtrip(self, tmp_path):
         cfg = gs.SequenceConfig(leader_degrees=(2,), initial_followers=5, steps=3, rng_seed=8)
@@ -134,7 +159,7 @@ class TestTrajectoryCsv:
         traj = gs.simulate(decompose(g, p), u, np.ones((3, 2)), cfg)
         path = tmp_path / "traj.csv"
         io.write_trajectory_csv(path, traj)
-        times, states, velocities = io.read_trajectory_csv(path)
+        times, states, velocities = read_trajectory_csv(path)
         np.testing.assert_array_equal(times, traj.times)
         np.testing.assert_array_equal(states, traj.states)
         np.testing.assert_array_equal(velocities, traj.velocities)

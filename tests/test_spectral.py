@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import groundspect as gs
+from groundspect import spectral
 from groundspect.errors import FiedlerOutOfRangeError, SingularScalingError
 
 from conftest import GOLDEN, K3_LAMBDA, P2_LAMBDA
@@ -135,7 +136,7 @@ def openblas_thread_counts() -> list:
     for lib in libs:
         handle = ctypes.CDLL(lib)
         for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                    "openblas_get_num_threads"):
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
             if hasattr(handle, sym):
                 getters.append(getattr(handle, sym))
                 break
@@ -143,6 +144,18 @@ def openblas_thread_counts() -> list:
 
 
 class TestOneBlasThread:
+    def test_every_mapped_openblas_is_controlled(self):
+        # numpy 1.22-1.26 wheels export only the unprefixed 64_-suffixed names
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                mapped = any("openblas" in line for line in fh)
+        except OSError:
+            mapped = False
+        if not mapped:
+            pytest.skip("no OpenBLAS mapped into the process")
+        assert spectral._OPENBLAS
+        assert all(get() >= 1 for get, _ in spectral._OPENBLAS)
+
     def test_lapack_sees_one_thread_and_caller_count_is_restored(self, monkeypatch, k3):
         try:
             getters = openblas_thread_counts()
