@@ -12,8 +12,11 @@ one numpy/BLAS build.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -28,7 +31,9 @@ from .tempo import _estimates
 
 # Rows end as in the csv module's default dialect, so csv.reader parses them;
 # %.17g round-trips every float and no cell ever needs quoting.
-_EOL = "\r\n"
+_EOL = b"\r\n"
+_BLOCK_CELLS = 8192  # CSV rows are formatted about this many cells at a time
+_SLOT = 48  # bytes per cell in _g17_text
 
 
 def load_json(path: str | Path) -> Any:
@@ -79,7 +84,15 @@ def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partitio
     _json_object(payload, where, "n", "edges", "leaders")
     try:
         n = as_int(payload["n"], "n")
-        edges = [(as_int(i) - 1, as_int(j) - 1) for i, j in payload["edges"]]
+        pairs = payload["edges"]
+        try:  # one scan of the endpoint types; only a non-int needs the as_int rule
+            plain = set(map(type, chain.from_iterable(pairs))) <= {int}
+        except TypeError:
+            plain = False
+        if plain:
+            edges = [(i - 1, j - 1) for i, j in pairs]
+        else:
+            edges = [(as_int(i) - 1, as_int(j) - 1) for i, j in pairs]
         leaders = [as_int(i) - 1 for i in payload["leaders"]]
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: malformed entry ({exc})") from exc
@@ -163,17 +176,14 @@ def load_instances(path: str | Path) -> list[tuple[str, Any]]:
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     """One row per recorded time: t, x<node>_<dim>..., v<node>_<dim>...."""
-    _, n, d = traj.states.shape
+    rows, n, d = traj.states.shape
     header = (
         ["t"]
         + [f"x{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
         + [f"v{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
     )
-    row = ",".join(["%.17g"] * (1 + 2 * n * d)) + _EOL
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + _EOL)
-        for t, x, v in zip(traj.times.tolist(), traj.states, traj.velocities):
-            fh.write(row % (t, *x.ravel().tolist(), *v.ravel().tolist()))
+    flat = [a.reshape(rows, -1) for a in (traj.states, traj.velocities)]
+    _write_csv(path, header, [traj.times[:, None], *flat], np.ones(rows, dtype=bool))
 
 
 def write_tempo_csv(path: str | Path, traj: Trajectory) -> None:
@@ -184,13 +194,109 @@ def write_tempo_csv(path: str | Path, traj: Trajectory) -> None:
     over.
     """
     n = traj.states.shape[1]
-    row = ",".join(["%.17g"] * (1 + n)) + _EOL
     _, live, estimates = _estimates(traj.velocities)
-    estimates = iter(estimates)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["t"] + [f"tau{i + 1}" for i in range(n)]) + _EOL)
-        for t, ok in zip(traj.times.tolist(), live.tolist()):
-            fh.write(row % (t, *next(estimates).tolist()) if ok else f"{t:.17g}" + "," * n + _EOL)
+    tau = np.zeros((len(live), n))
+    tau[live] = estimates
+    _write_csv(path, ["t"] + [f"tau{i + 1}" for i in range(n)], [traj.times[:, None], tau], live)
+
+
+def _write_csv(
+    path: str | Path, header: list[str], columns: list[np.ndarray], live: np.ndarray
+) -> None:
+    """Write the rows of the 2-D `columns` side by side as '%.17g' cells, a block at a time;
+    a row not `live` keeps its first cell and leaves the others empty."""
+    width = sum(c.shape[1] for c in columns)
+    row = b",".join([b"%.17g"] * width) + _EOL
+    blank = b"%.17g" + b"," * (width - 1) + _EOL
+    step = max(1, _BLOCK_CELLS // width)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + _EOL)
+        for i in range(0, len(live), step):
+            block = np.concatenate([c[i : i + step] for c in columns], axis=1, dtype=float)
+            text = _g17_text(block) if live[i : i + step].all() else None
+            if text is None:  # Python's own formatting, row by row
+                cells = zip(block.tolist(), live[i : i + step].tolist())
+                text = b"".join(row % tuple(r) if ok else blank % r[0] for r, ok in cells)
+            fh.write(text)
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of _g17_text, built on the first CSV write."""
+    i = np.arange(10000)
+    words = np.zeros((5, 10000, 4), dtype=np.uint8)  # [c, w]: w's first c digits, then NUL
+    for c in range(1, 5):
+        words[c:, :, c - 1] = i // 10 ** (4 - c) % 10 + ord("0")
+    trailing = sum((i % 10**k == 0).astype(np.intp) for k in range(1, 5))  # 4 for 0000
+    ceil10 = []  # the smallest double >= 10**k
+    for k in range(-11, 17):
+        a, b = float(f"1e{k}").as_integer_ratio()
+        below = a * 10 ** max(-k, 0) < b * 10 ** max(k, 0)  # a / b < 10**k, in int arithmetic
+        ceil10.append(math.nextafter(a / b, math.inf) if below else a / b)
+    # By exponent e and last non-zero digit z: how many digits of each word the text keeps
+    # (%g keeps the integer digits of the fixed form) and the slot byte of its point.
+    e, z = np.arange(-11, 17)[:, None], np.arange(17)
+    keep = np.clip(np.maximum(z, e) - np.array([-4, 0, 4, 8, 12])[:, None, None], 0, 4)
+    point = np.where(e >= 0, e, np.where(e < -4, 0, 16))
+    layout = np.concatenate([10000 * keep, np.where(z > point, 9 + 2 * point, 0)[None]])
+    lead = [b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in range(-11, 17)]
+    prefix = b"".join(b"\0," + sign + p.rjust(5, b"\0") for sign in (b"\0", b"-") for p in lead)
+    suffix = b"".join(b"e-%02d" % -k if k < -4 else bytes(4) for k in range(-11, 17))
+    return (
+        words.view(np.uint32).ravel(), trailing, np.array(ceil10), layout.reshape(6, -1),
+        np.frombuffer(prefix, np.uint64), np.frombuffer(suffix, np.uint32),
+        np.array([5**s for s in range(28)], dtype=np.uint64),
+    )
+
+
+def _g17_text(block: np.ndarray) -> bytes | None:
+    """The CSV rows of a C-ordered 2-D float64 block with every cell exactly '%.17g' % cell,
+    or None when a non-zero cell is not finite or its magnitude is outside [1e-11, 2**51).
+
+    A cell m * 2**(b - 52) in [10**E, 10**(E + 1)) has the 17 digits round-half-even(
+    m * 5**s / 2**r), s = 16 - E, r = 36 - b + E. There s <= 27 and 1 <= r <= 63, so the
+    product and its rounding are exact in uint64 arithmetic on 32-bit limbs, and no double
+    lies close enough below a power of ten to round up to 10**17. Each cell's text is laid
+    out in a _SLOT-byte slot, NUL where unused: separator (2), sign (1), "0.000" prefix (5),
+    17 digits each followed by a point slot (33), NUL (3) and "e-XX" suffix (4).
+    """
+    words, trailing, ceil10, layout, prefix, suffix, pow5 = _g17_tables()
+    u64, one, k32 = np.uint64, np.uint64(1), np.uint64(32)
+    x = block.ravel()
+    zero, ok = x == 0.0, np.isfinite(x) & (x != 0.0)
+    a = np.where(ok, np.abs(x), 1.0)  # log10 and the table indices stay defined
+    e = np.clip(np.floor(np.log10(a)), -11, 15).astype(np.intp)
+    e += (a >= ceil10[e + 12]).astype(np.intp) - (a < ceil10[e + 11])
+    bits = a.view(u64)
+    r = 1075 - (bits >> u64(52)).astype(np.intp) - (16 - e)
+    if not (zero | ok & (e >= -11) & (r >= 1) & (r <= 63)).all():
+        return None
+    m, p = bits & u64(2**52 - 1) | u64(2**52), pow5[16 - e]
+    ml, mh, pl, ph = m & u64(2**32 - 1), m >> k32, p & u64(2**32 - 1), p >> k32
+    mid, ll = ml * ph + mh * pl, ml * pl
+    lo = ll + (mid << k32)  # the product is hi * 2**64 + lo
+    hi = mh * ph + (mid >> k32) + (lo < ll).astype(u64)
+    r = r.astype(u64)
+    d = hi << (u64(64) - r) | lo >> r
+    rem, half = lo & (one << r) - one, one << r - one
+    d += ((rem > half) | (rem == half) & (d & one).astype(bool)).astype(u64)
+    d[zero], e[zero] = 0, 0
+    w = np.empty((5, len(x)), dtype=np.intp)  # the lead digit, then four 4-digit words
+    top, low = np.divmod(d, u64(10**8))
+    w[0], top = np.divmod(top, u64(10**8))
+    w[1], w[2] = np.divmod(top, u64(10**4))
+    w[3], w[4] = np.divmod(low, u64(10**4))
+    t, nil = trailing[w[1:]], w[1:] == 0
+    z = 16 - (t[3] + nil[3] * (t[2] + nil[2] * (t[1] + nil[1] * t[0])))  # last non-zero digit
+    lay = layout[:, (e + 11) * 17 + z]
+    w += lay[:5]
+    out = np.zeros((len(x), _SLOT), dtype=np.uint8)
+    out[:, 8:41:2] = words[w].T.copy().view(np.uint8)[:, 3:]
+    out.ravel()[_SLOT * np.arange(len(x)) + lay[5]] = ord(".")  # byte 0 when there is none
+    out.view(u64)[:, 0] = prefix[np.signbit(x).astype(np.intp) * 28 + e + 11]
+    out.view(np.uint32)[:, 11] = suffix[e + 11]
+    out.reshape(*block.shape, _SLOT)[:, 0, :2] = tuple(_EOL)  # a row starts where the last ended
+    return out.tobytes().translate(None, b"\0")[2:] + _EOL
 
 
 # -- run manifests --------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import csv
 import io as stdio
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groundspect as gs
 from groundspect import io
@@ -47,6 +51,14 @@ class TestGraphFiles:
         io.save_json(path, {"n": 3, "edges": [[1, 2], [2, 1]], "leaders": [1]})
         with pytest.raises(InputFormatError):
             io.load_graph(path)
+
+    @pytest.mark.parametrize("endpoint, shown", [(2.5, "2.5"), (True, "true"), ("3", '"3"')])
+    def test_non_integer_endpoint_message(self, endpoint, shown):
+        payload = {"n": 3, "edges": [[1, 2], [2, endpoint]], "leaders": [1]}
+        with pytest.raises(InputFormatError) as err:
+            io.graph_from_dict(payload)
+        message = f"graph: malformed entry (node label must be an integer, got {shown})"
+        assert str(err.value) == message
 
 
 class TestInputFiles:
@@ -285,6 +297,115 @@ class TestCsvBytes:
             rows.append([f"{t:.17g}", *cells])
         assert rows[4][1:] == rows[6][1:] == [""] * g.n and rows[7][1] != ""
         assert path.read_bytes().decode() == self.expected(rows)
+
+
+def g17(table) -> bytes:
+    """csv.writer's rows of a 2-D table with Python's '%.17g' cells."""
+    return TestCsvBytes.expected([[f"{x:.17g}" for x in row] for row in table.tolist()]).encode()
+
+
+def trajectory_of(table: np.ndarray, n: int, d: int) -> gs.Trajectory:
+    """The trajectory whose CSV rows are the rows of a (T, 1 + 2nd) table."""
+    x, v = table[:, 1 : 1 + n * d], table[:, 1 + n * d :]
+    shape = (len(table), n, d)
+    return gs.Trajectory(table[:, 0], x.reshape(shape), v.reshape(shape), x[0].reshape(n, d))
+
+
+# |x| in [1e-11, 2**51) and 0: every cell the whole-array kernel formats itself
+# (the double nearest 1e-11 lies below it)
+IN_DOMAIN = st.floats(1e-11, 2.0**51, exclude_min=True, exclude_max=True) | st.just(0.0)
+
+
+def in_domain(x: float) -> bool:
+    return x == 0.0 or 1e-11 < abs(x) < 2.0**51
+
+
+class TestCsvKernel:
+    """io._g17_text formats whole blocks in integer arithmetic; its bytes must equal
+    Python's '%.17g', and the blocks it refuses go through Python's formatting."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_writer_equals_python_on_any_float(self, tmp_path_factory, data):
+        n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        width = 1 + 2 * n * d
+        any_row = st.lists(st.floats(), min_size=width, max_size=width)  # NaN, inf, subnormals
+        signed = st.tuples(IN_DOMAIN, st.booleans()).map(lambda c: -c[0] if c[1] else c[0])
+        kernel_row = st.lists(signed, min_size=width, max_size=width)
+        table = np.array(data.draw(st.lists(any_row | kernel_row, min_size=1, max_size=8)))
+        path = tmp_path_factory.mktemp("kernel") / "traj.csv"
+        with mock.patch.object(io, "_BLOCK_CELLS", width):  # one row per block
+            io.write_trajectory_csv(path, trajectory_of(table, n, d))
+        assert path.read_bytes().split(b"\r\n", 1)[1] == g17(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(IN_DOMAIN, min_size=5, max_size=5), min_size=1, max_size=6), st.data())
+    def test_kernel_formats_its_domain(self, rows, data):
+        table = np.array(rows) * data.draw(st.sampled_from([1.0, -1.0]))
+        assert io._g17_text(table) == g17(table)
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (2.0**50 + 0.25, "1125899906842624.2"),  # ties go to the even digit
+            (2.0**50 + 0.75, "1125899906842624.8"),
+            (9.99999999999999999e-5, "0.0001"),  # the double nearest 1e-4
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (5e-324, "4.9406564584124654e-324"),
+            (1e-11, "9.9999999999999994e-12"),
+            (-1e-11, "-9.9999999999999994e-12"),
+            (2.0**51, "2251799813685248"),
+            (2.0**53, "9007199254740992"),
+        ],
+    )
+    def test_constructed_cells(self, x, text):
+        assert f"{x:.17g}" == text
+        table = np.array([[x, 1.5]])
+        got = io._g17_text(table)
+        assert got == g17(table) if in_domain(x) else got is None
+
+    def test_powers_of_ten_and_neighbours(self):
+        # The largest double below each power of ten keeps 17 digits below 10**17.
+        cells = []
+        for k in range(-12, 18):
+            p = float(f"1e{k}")
+            cells += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+        for x in cells:
+            got = io._g17_text(np.array([[x]]))
+            assert got == g17(np.array([[x]])) if in_domain(x) else got is None
+
+    def test_refused_cells_fall_back(self, tmp_path):
+        table = np.array([[0.5, np.nan, 2.0], [0.25, np.inf, -np.inf], [1e-300, 1e300, 3.0]])
+        assert all(io._g17_text(row[None]) is None for row in table)  # no garbage table index
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, trajectory_of(table, 1, 1))
+        assert path.read_bytes().split(b"\r\n", 1)[1] == g17(table)
+        assert b"0.5,nan,2\r\n" in path.read_bytes()
+
+    def test_decayed_velocities_take_the_fallback(self, tmp_path):
+        rng = np.random.default_rng(7)
+        g, p = gs.dense_follower_instance(37, (2, 3, 4), rng=rng)
+        spect = decompose(g, p)
+        u = gs.ExternalInput(2, {l: tuple(rng.uniform(-50, 50, 2)) for l in p.leaders})
+        t_final = 40.0 / spect.lambda_f
+        cfg = gs.SimConfig(dimension=2, dt=t_final / 512, t_final=t_final)
+        traj = gs.simulate(spect, u, rng.normal(size=(g.n, 2)), cfg)
+        flat = [a.reshape(len(traj.times), -1) for a in (traj.states, traj.velocities)]
+        table = np.concatenate([traj.times[:, None], *flat], axis=1)
+        speed = np.abs(flat[1])
+        assert speed[0].min() > 1e-11 and 0.0 < speed[-1].max() < 1e-11
+        kernel, results = io._g17_text, []
+
+        def recorded(block):
+            results.append(kernel(block))
+            return results[-1]
+
+        path = tmp_path / "traj.csv"
+        with mock.patch.object(io, "_g17_text", recorded):
+            io.write_trajectory_csv(path, traj)
+        assert results[0] is not None and results[-1] is None  # early blocks by the kernel
+        assert path.read_bytes().split(b"\r\n", 1)[1] == g17(table)
 
 
 class TestManifest:
