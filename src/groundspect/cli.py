@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import gc
 import logging
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng  # loaded here, so pool workers fork with it
 
 from . import __version__, io
 from .dynamics import ExternalInput, SimConfig, choose_measurement_time, simulate
@@ -30,7 +32,9 @@ from .errors import FiedlerOutOfRangeError, GroundspectError, InputFormatError
 from .graphs import Graph, Partition, grounded_laplacian, is_connected
 from .identifiability import check_identifiability
 from .sequences import generate_sequence
-from .spectral import SpectralResult, fiedler_pair, semi_normalized_adjacency, verify_perron
+from .spectral import (
+    SpectralResult, _one_blas_thread, fiedler_pair, semi_normalized_adjacency, verify_perron
+)
 from .tempo import run_pipeline
 
 log = logging.getLogger(__name__)
@@ -204,8 +208,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     ]
     workers = min(args.jobs, len(jobs))  # a fork-started pool forks all of them at once
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_pipeline_worker, jobs))
+        chunk = -(-len(jobs) // (4 * workers))  # about four chunks per worker
+        gc.freeze()  # the workers' collections then leave the parent's pages shared
+        try:  # the workers fork with one BLAS thread and numpy.random loaded
+            with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(workers) as pool:
+                rows = list(pool.map(_pipeline_worker, jobs, chunksize=chunk))
+        finally:
+            gc.unfreeze()
     else:
         rows = [_pipeline_worker(job) for job in jobs]
 
@@ -259,12 +268,12 @@ def _ensure_outdir(path: str) -> Path:
 
 
 def _generated_inputs(p: Partition, dim: int, seed: int) -> ExternalInput:
-    rng = np.random.default_rng((seed, 0xA11))
+    rng = default_rng((seed, 0xA11))
     return ExternalInput(dim, {leader: rng.uniform(10.0, 50.0, size=dim) for leader in p.leaders})
 
 
 def _random_x0(g: Graph, u: ExternalInput, seed: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, 0xB22))
+    rng = default_rng((seed, 0xB22))
     return rng.normal(0.0, 1.0, size=(g.n, u.dimension))
 
 

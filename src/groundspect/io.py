@@ -34,6 +34,8 @@ from .tempo import _estimates
 _EOL = b"\r\n"
 _BLOCK_CELLS = 8192  # CSV rows are formatted about this many cells at a time
 _SLOT = 48  # bytes per cell in _g17_text
+# The most nodes a graph file may have: their float64 grounded Laplacian fits in 1 GiB.
+_MAX_NODES = math.isqrt(2**30 // 8)
 
 
 def load_json(path: str | Path) -> Any:
@@ -84,6 +86,8 @@ def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partitio
     _json_object(payload, where, "n", "edges", "leaders")
     try:
         n = as_int(payload["n"], "n")
+        if n > _MAX_NODES:  # checked before anything n x n is allocated
+            raise InputFormatError(f"{where}: n = {n} exceeds the {_MAX_NODES}-node cap")
         pairs = payload["edges"]
         try:  # one scan of the endpoint types; only a non-int needs the as_int rule
             plain = set(map(type, chain.from_iterable(pairs))) <= {int}

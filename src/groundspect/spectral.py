@@ -1,9 +1,10 @@
 """Grounded-Laplacian spectral analysis.
 
-Every command path decomposes with LAPACK on one BLAS thread, because
-``pipeline --jobs`` workers would otherwise contend for the cores: unpinned,
-two workers on a 2-core host batch small graphs at half the rate. In one
-process, one and two threads are within about 30% at n = 23-400.
+Every command path decomposes with LAPACK on one BLAS thread, so that
+``pipeline --jobs`` workers do not contend for the cores. The workers fork with
+a count of 1, and the pin never calls a setter that would start OpenBLAS's
+thread server: it would give each fresh worker a second OS thread that burns CPU.
+In one process, one and two threads are within about 30% at n = 23-400.
 """
 
 from __future__ import annotations
@@ -49,20 +50,22 @@ def _openblas_thread_controls() -> list[tuple]:
 # Looked up once: reading the process map costs more than a small decomposition;
 # numpy has mapped the OpenBLAS its LAPACK runs on by the time it is imported.
 _OPENBLAS = _openblas_thread_controls()
-_OPENBLAS_LOCK = threading.Lock()
+# Reentrant, so a child forked by the pin's holding thread can pin again.
+_OPENBLAS_LOCK = threading.RLock()
 
 
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """Run the block with OpenBLAS on one thread; restore the caller's counts after."""
+    """Run the block with OpenBLAS on one thread, setting only the libraries above
+    one (a setter call starts a thread server), and restore their counts after."""
     with _OPENBLAS_LOCK:
-        saved = [get() for get, _ in _OPENBLAS]
-        for _, set_threads in _OPENBLAS:
+        pinned = [(set_threads, count) for get, set_threads in _OPENBLAS if (count := get()) != 1]
+        for set_threads, _ in pinned:
             set_threads(1)
         try:
             yield
         finally:
-            for (_, set_threads), count in zip(_OPENBLAS, saved):
+            for set_threads, count in pinned:
                 set_threads(count)
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands: files written, exit codes, determinism."""
 
 import concurrent.futures
+import gc
 import json
 import os
 import re
@@ -18,10 +19,13 @@ from groundspect.cli import main
 from groundspect.errors import MeasurementTimeCappedWarning
 
 from conftest import K3_LAMBDA
+from test_spectral import mapped_openblas_getters, openblas_thread_counts
 from trajectory_csv import read_trajectory_csv
 
 # A graph file that parses but has too few nodes for any graph.
 ONE_NODE = {"n": 1, "edges": [], "leaders": [1]}
+# A graph file whose adjacency alone would take 9.3 GiB.
+HUGE = {"n": 100000, "edges": [[1, 2]], "leaders": [1]}
 
 
 @pytest.fixture()
@@ -40,6 +44,18 @@ def k3_file(tmp_path, k3):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def row_with_thread_counts(job):
+    """The pipeline row plus the worker's OS thread count and OpenBLAS counts;
+    module-level, so a pool can send it to its workers."""
+    row = PIPELINE_WORKER(job)
+    row["threads"] = len(os.listdir("/proc/self/task"))
+    row["blas_threads"] = [get() for get in openblas_thread_counts()]
+    return row
+
+
+PIPELINE_WORKER = cli._pipeline_worker
 
 
 class TestGen:
@@ -255,6 +271,24 @@ class TestPipeline:
             b / "pipeline_summary.json"
         ).read_bytes()
 
+    def test_pool_leaves_the_caller_as_it_found_it(self, tmp_path, dense12_file, k3_file):
+        getters = mapped_openblas_getters()
+        frozen = gc.get_freeze_count()
+        counts = [get() for get in getters]
+        assert run("pipeline", dense12_file, k3_file, "-o", tmp_path, "--jobs", 2) == 0
+        assert gc.get_freeze_count() == frozen
+        assert [get() for get in getters] == counts
+
+    def test_pool_workers_stay_on_one_thread(self, tmp_path, dense12_file, k3_file, monkeypatch):
+        getters = mapped_openblas_getters()
+        if not getters or not os.path.isdir("/proc/self/task"):
+            pytest.skip("no OpenBLAS mapped into the process, or no /proc")
+        monkeypatch.setattr(cli, "_pipeline_worker", row_with_thread_counts)
+        assert run("pipeline", dense12_file, k3_file, "-o", tmp_path, "--jobs", 2) == 0
+        rows = io.load_json(tmp_path / "pipeline_summary.json")["instances"]
+        counts = [(row["threads"], row["blas_threads"]) for row in rows]
+        assert counts == [(1, [1] * len(getters))] * 2
+
     def test_pool_never_exceeds_the_instances(self, tmp_path, dense12_file, k3_file, monkeypatch):
         sizes = []
 
@@ -383,8 +417,12 @@ class TestNonObjectJson:
 
     @pytest.mark.parametrize(
         "element, message",
-        [(3, "expected a JSON object"), (ONE_NODE, "graph needs at least 2 nodes, got n=1")],
-        ids=["not-an-object", "one-node"],
+        [
+            (3, "expected a JSON object"),
+            (ONE_NODE, "graph needs at least 2 nodes, got n=1"),
+            (HUGE, "n = 100000 exceeds the 11585-node cap"),
+        ],
+        ids=["not-an-object", "one-node", "huge"],
     )
     def test_sequence_element_is_a_row_error(self, tmp_path, dense12_file, element, message):
         path = tmp_path / "seq.json"
@@ -437,8 +475,12 @@ class TestMisfittingJson:
             ({"n": "3", "edges": [[1, 2], [2, 3]], "leaders": [1]}, 'n must be an integer, got "3"'),
             ({"n": 3, "edges": [[1, 2], [2, 2**70]], "leaders": [1]}, f"(1,{2**70 - 1}) outside"),
             (ONE_NODE, "graph needs at least 2 nodes, got n=1"),
+            (HUGE, "n = 100000 exceeds the 11585-node cap"),
         ],
-        ids=["float-n", "float-label", "bool-leader", "string-n", "beyond-int64-label", "one-node"],
+        ids=[
+            "float-n", "float-label", "bool-leader", "string-n", "beyond-int64-label", "one-node",
+            "huge",
+        ],
     )
     def test_graph_integers_not_truncated(self, tmp_path, capsys, graph, message):
         path = tmp_path / "g.json"

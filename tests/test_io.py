@@ -3,6 +3,7 @@
 import csv
 import io as stdio
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -51,6 +52,22 @@ class TestGraphFiles:
         io.save_json(path, {"n": 3, "edges": [[1, 2], [2, 1]], "leaders": [1]})
         with pytest.raises(InputFormatError):
             io.load_graph(path)
+
+    def test_node_count_over_the_cap_is_refused_before_allocating(self, monkeypatch):
+        # n = 100000 would need a 9.3 GiB adjacency and a 75 GiB grounded Laplacian
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError, match="n = 100000 exceeds"):
+                io.graph_from_dict({"n": 100000, "edges": [[1, 2]], "leaders": [1]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        monkeypatch.setattr(io, "_MAX_NODES", 3)
+        path = [[1, 2], [2, 3], [3, 4]]
+        assert io.graph_from_dict({"n": 3, "edges": path[:2], "leaders": [1]})[0].n == 3
+        with pytest.raises(InputFormatError, match="n = 4 exceeds the 3-node cap"):
+            io.graph_from_dict({"n": 4, "edges": path, "leaders": [1]})
 
     @pytest.mark.parametrize("endpoint, shown", [(2.5, "2.5"), (True, "true"), ("3", '"3"')])
     def test_non_integer_endpoint_message(self, endpoint, shown):

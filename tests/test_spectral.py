@@ -1,6 +1,9 @@
 """Eigensolver accuracy and the Perron property of the scaled adjacency."""
 
 import ctypes
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -143,6 +146,14 @@ def openblas_thread_counts() -> list:
     return getters
 
 
+def mapped_openblas_getters() -> list:
+    """openblas_thread_counts(), or none where the process map cannot be read."""
+    try:
+        return openblas_thread_counts()
+    except OSError:
+        return []
+
+
 class TestOneBlasThread:
     def test_every_mapped_openblas_is_controlled(self):
         # numpy 1.22-1.26 wheels export only the unprefixed 64_-suffixed names
@@ -179,6 +190,70 @@ class TestOneBlasThread:
         gs.verify_perron(gs.semi_normalized_adjacency(*k3, r.lambda_f), r.v_f)
         assert seen == [[1] * len(getters)] * 2
         assert [get() for get in getters] == before
+
+    @staticmethod
+    def fake_openblas(monkeypatch, *counts) -> list:
+        """Stand fake (get, set) pairs at these counts in for the mapped
+        libraries; return the log of (library index, count) setter calls."""
+        calls = []
+
+        def library(index, count):
+            state = [count]
+
+            def set_threads(k):
+                calls.append((index, k))
+                state[0] = k
+
+            return (lambda: state[0]), set_threads
+
+        monkeypatch.setattr(spectral, "_OPENBLAS", [library(i, c) for i, c in enumerate(counts)])
+        return calls
+
+    def test_only_libraries_above_one_thread_are_set_and_restored(self, monkeypatch):
+        calls = self.fake_openblas(monkeypatch, 1, 2)
+        with spectral._one_blas_thread():
+            assert [get() for get, _ in spectral._OPENBLAS] == [1, 1]
+        assert calls == [(1, 1), (1, 2)]  # library 0, already at 1, is never set
+        assert [get() for get, _ in spectral._OPENBLAS] == [1, 2]
+
+    def test_nested_pin_in_one_thread_returns(self, monkeypatch):
+        calls = self.fake_openblas(monkeypatch, 2)
+        # a fresh lock, so a pin stuck waiting on it holds nothing later tests take
+        monkeypatch.setattr(spectral, "_OPENBLAS_LOCK", type(spectral._OPENBLAS_LOCK)())
+
+        def nested():
+            with spectral._one_blas_thread(), spectral._one_blas_thread():
+                pass
+
+        thread = threading.Thread(target=nested, daemon=True)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive(), "a nested pin waited on its own lock"
+        assert calls == [(0, 1), (0, 2)]
+
+    def test_child_forked_inside_the_pin_decomposes_on_one_thread(self, k3):
+        getters = mapped_openblas_getters()
+        if not getters or not os.path.isdir("/proc/self/task"):
+            pytest.skip("no OpenBLAS mapped into the process, or no /proc")
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            gs.fiedler_pair(gs.grounded_laplacian(*k3))
+            send.send((len(os.listdir("/proc/self/task")), [get() for get in getters]))
+
+        with receive, send:
+            with spectral._one_blas_thread():
+                proc = ctx.Process(target=child)
+                proc.start()
+                done = receive.poll(30)
+            proc.join(10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            assert done, "the forked child never finished fiedler_pair"
+            assert receive.recv() == (1, [1] * len(getters))
+            assert proc.exitcode == 0
 
 
 class TestSemiNormalizedAdjacency:
