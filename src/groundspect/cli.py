@@ -268,8 +268,8 @@ def _ensure_outdir(path: str) -> Path:
 
 
 def _generated_inputs(p: Partition, dim: int, seed: int) -> ExternalInput:
-    rng = default_rng((seed, 0xA11))
-    return ExternalInput(dim, {leader: rng.uniform(10.0, 50.0, size=dim) for leader in p.leaders})
+    rows = default_rng((seed, 0xA11)).uniform(10.0, 50.0, size=(len(p.leaders), dim))
+    return ExternalInput(dim, dict(zip(p.leaders, rows.tolist())))
 
 
 def _random_x0(g: Graph, u: ExternalInput, seed: int) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Undirected graphs, leader/follower partitions, and the grounded Laplacian.
 
 Node indices are 0-based and dense (0..n-1). All edge weights are 1. A Graph
-holds its edges twice: as a read-only boolean adjacency matrix that every
-graph-level quantity reads, and as the sorted tuple of canonical pairs that
-files are written from, which one constructor derives from the adjacency.
-Matrices built from it are dense float arrays with exact integer entries, so
-row-sum identities can be asserted without tolerance.
+holds its edges once, as a read-only boolean adjacency matrix that every
+graph-level quantity reads; the sorted tuple of canonical pairs that files are
+written from is derived from it on first read. Matrices built from it are
+dense float arrays with exact integer entries, so row-sum identities can be
+asserted without tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -28,19 +29,28 @@ from .errors import (
 NodeId = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on the nodes 0..n-1.
 
-    ``edges`` is the sorted tuple of canonical (i < j) pairs; ``adjacency`` is
-    the read-only n x n boolean matrix of the same edges. Degrees, the grounded
-    Laplacian, the semi-normalized adjacency, connectivity and the partition
-    checks read ``adjacency``. Equality and hashing use (n, edges) only.
+    ``adjacency`` is the read-only n x n boolean matrix that every graph-level
+    quantity reads; ``edges``, the sorted tuple of canonical (i < j) pairs, is
+    built from it on first read and kept. Equality and hashing use (n, edges).
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: np.ndarray = field(compare=False, repr=False)
+    adjacency: np.ndarray = field(repr=False)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        i, j = np.nonzero(np.triu(self.adjacency))
+        return tuple(zip(i.tolist(), j.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     def degree(self, i: NodeId) -> int:
         return int(self.adjacency[i].sum())
@@ -54,21 +64,25 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     order), and endpoints outside [0, n). The first offending edge in input
     order is reported, checked for range, then self-loop, then duplicate.
     """
-    n = as_int(n, "n")
+    return _pairs_graph(as_int(n, "n"), edges, checked=False)
+
+
+def _pairs_graph(n: int, edges: Iterable[Sequence[int]], checked: bool) -> Graph:
+    """build_graph for an int n; checked edges, pairs of ints, skip the pair and type scans."""
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes, got n={n}")
-    edges = list(edges)
-    if not set(map(len, edges)) <= {2}:
-        raise ValueError("every edge must be a pair of node indices")
-    flat = list(chain.from_iterable(edges))
-    if not set(map(type, flat)) <= {int}:  # else each endpoint by the as_int rule
-        for edge in edges:
-            for x in edge:
-                as_int(x, f"endpoint of edge {tuple(edge)}")
+    if not checked:
+        edges = list(edges)
+        if not set(map(len, edges)) <= {2}:
+            raise ValueError("every edge must be a pair of node indices")
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:  # else each by the as_int rule
+            for edge in edges:
+                for x in edge:
+                    as_int(x, f"endpoint of edge {tuple(edge)}")
     try:
-        flat = np.fromiter(flat, np.int64)
+        flat = np.fromiter(chain.from_iterable(edges), np.int64)
     except OverflowError:  # beyond int64 is out of range, as -1 is
-        flat = np.array([x if abs(x) <= n else -1 for x in map(int, flat)])
+        flat = np.array([x if abs(x) <= n else -1 for x in map(int, chain.from_iterable(edges))])
     lo, hi = np.minimum(flat[0::2], flat[1::2]), np.maximum(flat[0::2], flat[1::2])
     _, first = np.unique(lo * n + hi, return_index=True)
     repeated = np.ones(len(edges), dtype=bool)
@@ -89,8 +103,7 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 def _graph(adjacency: np.ndarray) -> Graph:
     """The Graph of a valid adjacency (symmetric, boolean, empty diagonal), made read-only."""
     adjacency.flags.writeable = False
-    i, j = np.nonzero(np.triu(adjacency))
-    return Graph(n=len(adjacency), edges=tuple(zip(i.tolist(), j.tolist())), adjacency=adjacency)
+    return Graph(n=len(adjacency), adjacency=adjacency)
 
 
 def is_connected(g: Graph) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .dynamics import ExternalInput, Trajectory
 from .errors import GroundspectError, InputFormatError, as_int
-from .graphs import Graph, Partition, build_graph, make_partition
+from .graphs import Graph, Partition, _pairs_graph, make_partition
 from .sequences import GraphSequence, SequenceConfig
 from .tempo import _estimates
 
@@ -93,15 +93,14 @@ def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partitio
             plain = set(map(type, chain.from_iterable(pairs))) <= {int}
         except TypeError:
             plain = False
-        if plain:
-            edges = [(i - 1, j - 1) for i, j in pairs]
-        else:
-            edges = [(as_int(i) - 1, as_int(j) - 1) for i, j in pairs]
+        if not plain:
+            pairs = [(as_int(i), as_int(j)) for i, j in pairs]
+        edges = [(i - 1, j - 1) for i, j in pairs]
         leaders = [as_int(i) - 1 for i in payload["leaders"]]
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: malformed entry ({exc})") from exc
     try:
-        g = build_graph(n, edges)
+        g = _pairs_graph(n, edges, checked=True)
         p = make_partition(n, leaders)
     except (GroundspectError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from exc

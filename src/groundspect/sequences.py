@@ -23,6 +23,7 @@ from .graphs import Graph, Partition, _graph, make_partition
 log = logging.getLogger(__name__)
 
 GROWTH_MODES = ("densify_edges", "add_nodes_and_edges")
+_DRAW_AHEAD = 128  # the most edge draws taken in one generator call
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,10 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
     element's; leader adjacency never changes after element 0.
 
     One boolean adjacency, sized for the last element, carries the family;
-    each element is a read-only copy of its leading block. An element costs
-    one vectorized scan of the follower block for its absent pairs, plus O(1)
-    Python work per added edge: the follower-follower degrees and the count
-    at their minimum change at the two endpoints only.
+    each element is a read-only copy of its leading block. An element costs a
+    scan of the follower block for its absent pairs, one generator call for its
+    edge draws, and O(1) Python work per added edge: the follower-follower
+    degrees and the count at their minimum change at the two endpoints only.
     """
     n_leaders, f = len(cfg.leader_degrees), cfg.initial_followers
     if max(cfg.leader_degrees) > f:
@@ -104,9 +105,9 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
     n = n_leaders + f
     adj = np.zeros((n + (cfg.steps - 1 if grow else 0),) * 2, dtype=bool)
     ff = adj[n_leaders:, n_leaders:]  # the follower block, a view
-    for idx in range(1, f):  # a random recursive spanning tree over the followers
-        anchor = int(rng.integers(idx))
-        ff[anchor, idx] = ff[idx, anchor] = True
+    tree = np.arange(1, f)  # a random recursive spanning tree: follower k joins one of 0..k-1
+    anchors = rng.integers(tree)
+    ff[anchors, tree] = ff[tree, anchors] = True
     deg = ff[:f, :f].sum(axis=1).tolist()  # deg[k]: follower-follower degree of node n_leaders + k
     for leader, d in enumerate(cfg.leader_degrees):
         picks = n_leaders + rng.choice(f, size=d, replace=False)
@@ -126,11 +127,15 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
         absent = np.flatnonzero(np.triu(~ff[:f, :f], 1)).tolist()
         current = min(deg)
         at_min = deg.count(current)
+        draws, top = [], len(absent)  # draw k of a chunk is made with len(absent) == top - k
         while current <= prev_min:
             if not absent:
                 saturated = True
                 break
-            k = int(rng.integers(len(absent)))
+            if top - len(absent) == len(draws):  # draw ahead, the highs known in advance
+                top, state = len(absent), rng.bit_generator.state
+                draws = rng.integers(np.arange(top, max(top - _DRAW_AHEAD, 0), -1)).tolist()
+            k = draws[top - len(absent)]
             absent[k], absent[-1] = absent[-1], absent[k]
             a, b = divmod(absent.pop(), f)
             ff[a, b] = ff[b, a] = True
@@ -140,6 +145,9 @@ def generate_sequence(cfg: SequenceConfig) -> GraphSequence:
             if at_min == 0:
                 current += 1
                 at_min = deg.count(current)
+        if top - len(absent) < len(draws):  # rewind and redraw the used ones: as if one per edge
+            rng.bit_generator.state = state
+            rng.integers(np.arange(top, len(absent), -1))
         if saturated:
             log.debug("follower subgraph saturated after %d elements", len(elements))
             break

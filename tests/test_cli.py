@@ -1,6 +1,7 @@
 """CLI subcommands: files written, exit codes, determinism."""
 
 import concurrent.futures
+import faulthandler
 import gc
 import json
 import os
@@ -26,6 +27,8 @@ from trajectory_csv import read_trajectory_csv
 ONE_NODE = {"n": 1, "edges": [], "leaders": [1]}
 # A graph file whose adjacency alone would take 9.3 GiB.
 HUGE = {"n": 100000, "edges": [[1, 2]], "leaders": [1]}
+# Seconds a `pipeline --jobs N` test may take; each takes about one.
+POOL_DEADLINE_S = 120
 
 
 @pytest.fixture()
@@ -44,6 +47,19 @@ def k3_file(tmp_path, k3):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture()
+def pool_deadline(request):
+    """Ends the test run with every thread's traceback if a pool test outlives
+    POOL_DEADLINE_S, so that a deadlocked pool fails the suite instead of hanging it."""
+    capture = request.config.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled():  # the traceback goes to the real stderr
+        stderr = os.dup(2)
+    faulthandler.dump_traceback_later(POOL_DEADLINE_S, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    os.close(stderr)
 
 
 def row_with_thread_counts(job):
@@ -263,6 +279,7 @@ class TestPipeline:
         )
         assert code == (0 if ok else 1)
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_jobs_flag_gives_identical_summary(self, tmp_path, dense12_file, k3_file):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("pipeline", dense12_file, k3_file, "-o", a, "--jobs", 1) == 0
@@ -271,6 +288,7 @@ class TestPipeline:
             b / "pipeline_summary.json"
         ).read_bytes()
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_pool_leaves_the_caller_as_it_found_it(self, tmp_path, dense12_file, k3_file):
         getters = mapped_openblas_getters()
         frozen = gc.get_freeze_count()
@@ -279,6 +297,7 @@ class TestPipeline:
         assert gc.get_freeze_count() == frozen
         assert [get() for get in getters] == counts
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_pool_workers_stay_on_one_thread(self, tmp_path, dense12_file, k3_file, monkeypatch):
         getters = mapped_openblas_getters()
         if not getters or not os.path.isdir("/proc/self/task"):
@@ -289,6 +308,7 @@ class TestPipeline:
         counts = [(row["threads"], row["blas_threads"]) for row in rows]
         assert counts == [(1, [1] * len(getters))] * 2
 
+    @pytest.mark.usefixtures("pool_deadline")
     def test_pool_never_exceeds_the_instances(self, tmp_path, dense12_file, k3_file, monkeypatch):
         sizes = []
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groundspect as gs
+from groundspect import cli, io
 from groundspect.errors import (
     DuplicateEdgeError,
     EmptyFollowerSetError,
@@ -100,6 +101,46 @@ class TestConnectivity:
 
     def test_k3_connected(self):
         assert gs.is_connected(gs.build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+class TestLazyEdges:
+    """A Graph builds its edge tuple only when something reads it."""
+
+    def test_certify_identify_and_cli_leave_edges_unbuilt(self, tmp_path, monkeypatch):
+        cfg = gs.SequenceConfig((2, 2), 10, 3, "densify_edges", 4)
+        g, p = gs.generate_sequence(cfg).elements[-1]
+        report = gs.check_identifiability(g, p)
+        u = cli._generated_inputs(p, 2, 0)
+        gs.run_pipeline(report.spectral, u, cli._random_x0(g, u, 0))
+        assert "edges" not in vars(g)
+
+        io.save_graph(tmp_path / "g.json", g, p)  # writing the file reads g.edges
+        loaded, load_graph = [], io.load_graph
+
+        def recording(path):
+            loaded.append(load_graph(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(io, "load_graph", recording)
+        cli.main(["identify", str(tmp_path / "g.json"), "-o", str(tmp_path / "out")])
+        ((h, q),) = loaded
+        assert "edges" not in vars(h) and h is not g and q == p
+
+        for graph in (g, h):
+            twin = gs.build_graph(graph.n, graph.edges)
+            assert graph == twin and hash(graph) == hash(twin)
+            assert {graph: 1}[twin] == 1
+            assert type(graph.edges) is tuple
+            assert all(type(e) is tuple and len(e) == 2 for e in graph.edges)
+            assert all(type(x) is int for e in graph.edges for x in e)
+        assert g == h and "edges" in vars(g)
+
+    def test_equality_reads_n_and_edges_only(self):
+        a = gs.build_graph(3, [(0, 1), (1, 2)])
+        assert a == gs.build_graph(3, [(2, 1), (1, 0)])
+        assert a != gs.build_graph(3, [(0, 1), (0, 2)])
+        assert a != gs.build_graph(4, [(0, 1), (1, 2)])
+        assert a != (3, a.edges)
 
 
 class TestPartition:

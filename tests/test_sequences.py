@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,6 +194,75 @@ def test_matches_set_based_reference(leader_degrees, extra_followers, steps, gro
     assert [p for _, p in seq.elements] == [p for _, p in ref.elements]
     for (g, _), (r, _) in zip(seq.elements, ref.elements):
         assert np.array_equal(g.adjacency, r.adjacency)
+
+
+def draw_ahead_paths(cfg, draw_ahead):
+    """The draw-ahead paths generate_sequence takes on cfg with chunks of draw_ahead
+    edge draws, read off the reference family: an element draws the follower pairs
+    it adds, and it stops inside a chunk (so the generator is rewound) when that
+    count is no multiple of the chunk and the pairs it may draw are not used up."""
+    ref = reference_sequence(cfg)
+    grow = cfg.growth == "add_nodes_and_edges"
+    sizes = [len(g.edges) for g, _ in ref.elements]
+    draws = [b - a - grow for a, b in zip(sizes, sizes[1:])]
+    rewound = [
+        k % draw_ahead != 0 and gs.min_follower_degree(g, p) < len(p.followers) - 1
+        for k, (g, p) in zip(draws, ref.elements[1:])
+    ]
+    return {
+        "second chunk": any(k > draw_ahead for k in draws),
+        "rewind, then an element": any(rewound[:-1]),
+        "rewind, then an anchor draw": grow and any(rewound[:-1]),
+        "saturates": ref.saturated,
+    }
+
+
+# (leader_degrees, extra_followers, steps, growth, seed, draw_ahead), each forcing one path
+DRAW_AHEAD_CASES = {
+    "second chunk": ([2, 3, 2], 57, 24, "densify_edges", 2, 128),  # 144 draws in one element
+    "rewind, then an element": ([1, 2], 3, 10, "densify_edges", 1, 2),
+    "rewind, then an anchor draw": ([2], 2, 12, "add_nodes_and_edges", 0, 4),
+    "saturates": ([2, 2], 3, 30, "densify_edges", 9, 128),  # PINNED_CONFIGS[2]
+}
+
+
+@pytest.mark.parametrize("path", DRAW_AHEAD_CASES)
+def test_draw_ahead_cases_force_their_path(path):
+    degrees, extra, steps, growth, seed, draw_ahead = DRAW_AHEAD_CASES[path]
+    cfg = gs.SequenceConfig(tuple(degrees), max(degrees) + extra, steps, growth, seed)
+    assert draw_ahead_paths(cfg, draw_ahead)[path]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    leader_degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    extra_followers=st.integers(0, 9),
+    steps=st.integers(1, 12),
+    growth=st.sampled_from(gs.sequences.GROWTH_MODES),
+    seed=st.integers(0, 2**32 - 1),
+    draw_ahead=st.integers(1, 6) | st.just(gs.sequences._DRAW_AHEAD),
+)
+@example(*DRAW_AHEAD_CASES["second chunk"])
+@example(*DRAW_AHEAD_CASES["rewind, then an element"])
+@example(*DRAW_AHEAD_CASES["rewind, then an anchor draw"])
+@example(*DRAW_AHEAD_CASES["saturates"])
+def test_draw_ahead_matches_one_draw_per_edge(
+    leader_degrees, extra_followers, steps, growth, seed, draw_ahead
+):
+    """Whatever the chunk size, drawing ahead and rewinding gives the family, and
+    leaves the generator, as one scalar draw per edge does."""
+    cfg = gs.SequenceConfig(
+        tuple(leader_degrees), max(leader_degrees) + extra_followers, steps, growth, seed
+    )
+    made, default_rng = [], np.random.default_rng
+    with mock.patch.object(gs.sequences, "_DRAW_AHEAD", draw_ahead), mock.patch.object(
+        np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
+    ):
+        seq, ref = gs.generate_sequence(cfg), reference_sequence(cfg)
+    assert seq.saturated == ref.saturated
+    assert [g.edges for g, _ in seq.elements] == [g.edges for g, _ in ref.elements]
+    generated, reference = made
+    assert generated.bit_generator.state == reference.bit_generator.state
 
 
 class TestCarriedAdjacency:
