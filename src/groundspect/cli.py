@@ -44,13 +44,15 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, outputs = args.func(args)
     except (InputFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GroundspectError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    _write_manifest(args, outputs)
+    return code
 
 
 def _setup_logging() -> None:
@@ -119,28 +121,19 @@ def _above(kind: type, bound: int):
     return parse
 
 
-# -- subcommands -------------------------------------------------------------------
+# -- subcommands: each returns its exit code and the files it wrote ----------------
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> tuple[int, list[Path]]:
     cfg = io.sequence_config_from_dict(io.load_json(args.config), where=args.config)
     seq = generate_sequence(cfg)
-    outdir = _ensure_outdir(args.outdir)
-    out = outdir / "sequence.json"
+    out = _ensure_outdir(args.outdir) / "sequence.json"
     io.save_sequence(out, seq)
-    io.write_manifest(
-        outdir / "sequence.manifest.json",
-        "gen",
-        cfg.to_json(),
-        {"config": str(args.config)},
-        [str(out)],
-        rng_seed=cfg.rng_seed,
-    )
     print(f"wrote {out} ({len(seq)} graphs, saturated={seq.saturated})")
-    return 0
+    return 0, [out]
 
 
-def _cmd_spectral(args: argparse.Namespace) -> int:
+def _cmd_spectral(args: argparse.Namespace) -> tuple[int, list[Path]]:
     g, p = io.load_graph(args.graph)
     if not is_connected(g):
         raise FiedlerOutOfRangeError(f"{args.graph}: graph is disconnected")
@@ -148,42 +141,40 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     perron = verify_perron(semi_normalized_adjacency(g, p, result.lambda_f), result.v_f)
     (out,) = _outputs(args, "spectral.json")
     io.save_json(out, result.to_json() | {"perron": perron.to_json()})
-    _manifest(args, [out], {}, {}, rng_seed=None)
     print(f"lambda_F = {result.lambda_f:.9f}  |rho-1| = {perron.radius_error:.3e}")
     print(f"wrote {out}")
-    return 0
+    return 0, [out]
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[int, list[Path]]:
     report = check_identifiability(*io.load_graph(args.graph))
     (out,) = _outputs(args, "check.json")
     io.save_json(out, report.to_json())
-    _manifest(args, [out], {}, {}, rng_seed=None)
     print(
         f"separated={report.separated} epsilon_d={report.epsilon_d:.4f} "
         f"epsilon={report.epsilon:.4f} min_follower_degree={report.min_follower_degree}"
     )
     print(f"wrote {out}")
-    return 0 if report.separated else 1
+    return (0 if report.separated else 1), [out]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, list[Path]]:
     u, spect, x0 = _prepare_run(args)
     cfg = _sim_config(u, args.dt, args.t_final, args.record_every)
     traj = simulate(spect, u, x0, cfg)
     (out,) = _outputs(args, "traj.csv")
     io.write_trajectory_csv(out, traj)
-    _run_manifest(args, cfg, [out])
     print(f"wrote {out} ({len(traj.times)} samples)")
-    return 0
+    return 0, [out]
 
 
-def _cmd_identify(args: argparse.Namespace) -> int:
+def _cmd_identify(args: argparse.Namespace) -> tuple[int, list[Path]]:
     u, spect, x0 = _prepare_run(args)
-    t_meas, _ = choose_measurement_time(spect.spectrum)
-    t_final = args.t_final if args.t_final is not None else t_meas
-    dt = args.dt if args.dt is not None else t_final / 512.0
-    cfg = _sim_config(u, dt, t_final, 1)
+    if args.t_final is None:  # resolved here, so the manifest records the grid run
+        args.t_final, _ = choose_measurement_time(spect.spectrum)
+    if args.dt is None:
+        args.dt = args.t_final / 512.0
+    cfg = _sim_config(u, args.dt, args.t_final, 1)
     estimate, diag = run_pipeline(spect, u, x0, cfg)
 
     leaders_out, traj_out, tempo_out = _outputs(args, "leaders.json", "traj.csv", "tempo.csv")
@@ -191,16 +182,15 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     io.save_json(leaders_out, record)
     io.write_trajectory_csv(traj_out, diag.trajectory)
     io.write_tempo_csv(tempo_out, diag.trajectory)
-    _run_manifest(args, cfg, [leaders_out, traj_out, tempo_out])
     print(
         f"identified leaders {record['leaders']} (n={estimate.n_leaders}, "
         f"gap={estimate.gap_size:.4f}, recovered={diag.recovered})"
     )
     print(f"wrote {leaders_out}, {traj_out}, {tempo_out}")
-    return 0 if diag.recovered else 1
+    return (0 if diag.recovered else 1), [leaders_out, traj_out, tempo_out]
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> tuple[int, list[Path]]:
     instances = [item for path in args.paths for item in io.load_instances(path)]
     jobs = [
         (name, graph_dict, args.seed + idx, args.dim)
@@ -218,17 +208,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     else:
         rows = [_pipeline_worker(job) for job in jobs]
 
-    outdir = _ensure_outdir(args.outdir)
-    out = outdir / "pipeline_summary.json"
+    out = _ensure_outdir(args.outdir) / "pipeline_summary.json"
     io.save_json(out, {"instances": rows})
-    io.write_manifest(
-        outdir / "pipeline_summary.manifest.json",
-        "pipeline",
-        {"jobs": args.jobs, "dim": args.dim},
-        {f"path{i}": str(pth) for i, pth in enumerate(args.paths)},
-        [str(out)],
-        rng_seed=args.seed,
-    )
     n_sep = sum(1 for r in rows if r.get("separated"))
     n_rec = sum(1 for r in rows if r.get("recovered"))
     print(f"{len(rows)} instances: {n_sep} separated, {n_rec} recovered")
@@ -236,7 +217,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     failed = any(
         r.get("error") or (r.get("separated") and not r.get("recovered")) for r in rows
     )
-    return 1 if failed else 0
+    return (1 if failed else 0), [out]
 
 
 def _pipeline_worker(job: tuple[str, dict, int, int]) -> dict:
@@ -278,9 +259,14 @@ def _random_x0(g: Graph, u: ExternalInput, seed: int) -> np.ndarray:
 
 
 def _prepare_run(args: argparse.Namespace) -> tuple[ExternalInput, SpectralResult, np.ndarray]:
-    """Load the graph, resolve the inputs, decompose once and draw x0."""
+    """Load the graph, resolve the inputs, decompose once and draw x0. An inputs
+    file sets args.dim to its dimension, so the manifest records the one run."""
     g, p = io.load_graph(args.graph)
-    u = io.load_inputs(args.inputs) if args.inputs else _generated_inputs(p, args.dim, args.seed)
+    if args.inputs:
+        u = io.load_inputs(args.inputs)
+        args.dim = u.dimension
+    else:
+        u = _generated_inputs(p, args.dim, args.seed)
     if set(u.values) != set(p.leaders):  # generated inputs always cover them
         raise InputFormatError(
             f"{args.inputs}: input labels {sorted(i + 1 for i in u.values)} "
@@ -303,23 +289,13 @@ def _outputs(args: argparse.Namespace, *suffixes: str) -> list[Path]:
     return [outdir / f"{Path(args.graph).stem}.{suffix}" for suffix in suffixes]
 
 
-def _manifest(
-    args: argparse.Namespace, outputs: list[Path], config: dict, inputs: dict, rng_seed: int | None
-) -> None:
-    """<outdir>/<graph stem>.<subcommand>.manifest.json for a one-graph command."""
-    io.write_manifest(
-        Path(args.outdir) / f"{Path(args.graph).stem}.{args.subcommand}.manifest.json",
-        args.subcommand,
-        config,
-        {"graph": str(args.graph)} | inputs,
-        [str(out) for out in outputs],
-        rng_seed=rng_seed,
-    )
-
-
-def _run_manifest(args: argparse.Namespace, cfg: SimConfig, outputs: list[Path]) -> None:
-    config = cfg.to_json() | {"generated_inputs": args.inputs is None}
-    _manifest(args, outputs, config, {"inputs": args.inputs or "(generated)"}, args.seed)
+def _write_manifest(args: argparse.Namespace, outputs: list[Path]) -> None:
+    """<outdir>/<graph stem>.<subcommand>.manifest.json for a one-graph command, else
+    <outdir>/<output stem>.manifest.json: every parsed argument, as the command ran it."""
+    stem = f"{Path(args.graph).stem}.{args.subcommand}" if "graph" in args else outputs[0].stem
+    recorded = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+    path = Path(args.outdir) / f"{stem}.manifest.json"
+    io.write_manifest(path, args.subcommand, recorded, outputs)
 
 
 if __name__ == "__main__":

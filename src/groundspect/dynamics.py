@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -108,9 +108,6 @@ class SimConfig:
             raise ValueError("t_final must be >= dt")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ class DuplicateEdgeError(GroundspectError):
 
 
 class IndexOutOfRangeError(GroundspectError):
-    """A node index falls outside [0, n)."""
+    """A node index (or a graph file's label) falls outside the graph's nodes."""
 
 
 class EmptyLeaderSetError(GroundspectError):

@@ -64,34 +64,35 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     order), and endpoints outside [0, n). The first offending edge in input
     order is reported, checked for range, then self-loop, then duplicate.
     """
-    return _pairs_graph(as_int(n, "n"), edges, checked=False)
+    return _pairs_graph(as_int(n, "n"), edges, first=0)
 
 
-def _pairs_graph(n: int, edges: Iterable[Sequence[int]], checked: bool) -> Graph:
-    """build_graph for an int n; checked edges, pairs of ints, skip the pair and type scans."""
+def _pairs_graph(n: int, edges: Iterable[Sequence[int]], first: int) -> Graph:
+    """build_graph for an int n, with the nodes labelled first..first + n - 1 in the
+    edges and in the errors (a graph file labels them from 1)."""
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes, got n={n}")
-    if not checked:
-        edges = list(edges)
-        if not set(map(len, edges)) <= {2}:
-            raise ValueError("every edge must be a pair of node indices")
-        if not set(map(type, chain.from_iterable(edges))) <= {int}:  # else each by the as_int rule
-            for edge in edges:
-                for x in edge:
-                    as_int(x, f"endpoint of edge {tuple(edge)}")
+    edges = list(edges)
+    if not set(map(len, edges)) <= {2}:
+        raise ValueError("every edge must be a pair of node indices")
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:  # else each by the as_int rule
+        for edge in edges:
+            for x in edge:
+                as_int(x, f"endpoint of edge {tuple(edge)}")
     try:
         flat = np.fromiter(chain.from_iterable(edges), np.int64)
     except OverflowError:  # beyond int64 is out of range, as -1 is
         flat = np.array([x if abs(x) <= n else -1 for x in map(int, chain.from_iterable(edges))])
+    flat -= first
     lo, hi = np.minimum(flat[0::2], flat[1::2]), np.maximum(flat[0::2], flat[1::2])
-    _, first = np.unique(lo * n + hi, return_index=True)
+    _, first_seen = np.unique(lo * n + hi, return_index=True)
     repeated = np.ones(len(edges), dtype=bool)
-    repeated[first] = False
+    repeated[first_seen] = False
     offending = (lo < 0) | (hi >= n) | (lo == hi) | repeated
     if offending.any():
         i, j = map(int, edges[int(offending.argmax())])
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise IndexOutOfRangeError(f"edge ({i},{j}) outside [0,{n})")
+        if not (first <= min(i, j) and max(i, j) < first + n):
+            raise IndexOutOfRangeError(f"edge ({i},{j}) outside [{first},{first + n})")
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
         raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
@@ -134,13 +135,18 @@ class Partition:
 
 def make_partition(n: int, leaders: Iterable[NodeId]) -> Partition:
     """Build a validated Partition from a leader set."""
-    n = as_int(n, "n")
-    leader_set = {as_int(i, "leader") for i in leaders}
+    return _partition(as_int(n, "n"), leaders, first=0)
+
+
+def _partition(n: int, leaders: Iterable[int], first: int) -> Partition:
+    """make_partition for an int n, with the nodes labelled first..first + n - 1 in the
+    leaders and in the errors."""
+    leader_set = {as_int(i, "leader") - first for i in leaders}
     if not leader_set:
         raise EmptyLeaderSetError("at least one leader is required")
     for i in leader_set:
         if not (0 <= i < n):
-            raise IndexOutOfRangeError(f"leader {i} outside [0,{n})")
+            raise IndexOutOfRangeError(f"leader {i + first} outside [{first},{first + n})")
     followers = tuple(i for i in range(n) if i not in leader_set)
     if not followers:
         raise EmptyFollowerSetError("at least one follower is required")

@@ -5,10 +5,11 @@ Laplacian approaches a simple profile: 1 on followers and
 deg/(deg + 1 - lambda_F) on leaders. One separation test, the follower/leader
 gap against the largest gap within the leaders and within the followers, is
 applied to that profile and to the computed Fiedler vector. On the profile it
-gives the margin epsilon_d; the certificate holds when the vector stays within
-epsilon_d/4 of the profile and, on the vector itself, the follower/leader gap
-is strictly the largest gap of its sorted entries. The largest-gap cut of the
-computed Fiedler vector then returns exactly the leaders.
+gives the margin epsilon_d, and condition (iii) asks that this gap is strictly
+the profile's largest. The certificate holds when, in addition, the vector
+stays within epsilon_d/4 of the profile and, on the vector itself, the
+follower/leader gap is strictly the largest gap of its sorted entries. The
+largest-gap cut of the computed Fiedler vector then returns exactly the leaders.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ class IdentifiabilityReport:
 
     ``epsilon_d`` is the limiting profile's follower/leader gap, 1 minus the
     largest limiting leader entry, and ``epsilon_d_margin`` subtracts the
-    profile's largest gap between leader entries from it; the margin is
-    reported, not part of the verdict. ``separated`` is the combined
+    profile's largest gap between leader entries from it. Condition (iii)
+    holds when the margin is positive: the profile's largest gap is the
+    follower/leader one, as the cut needs. ``separated`` is the combined
     certificate: all four conditions hold and the follower/leader gap in the
     computed Fiedler vector (``separation_lhs``) exceeds every other gap of
     its sorted entries (``separation_rhs_other_gap``), so the largest-gap cut
@@ -99,7 +101,7 @@ class IdentifiabilityReport:
     epsilon_d: float
     epsilon_d_margin: float
     epsilon: float
-    condition_iii_holds: bool  # epsilon_d > 0
+    condition_iii_holds: bool  # epsilon_d_margin > 0
     condition_iv_holds: bool  # epsilon < epsilon_d / 4
     separation_lhs: float
     separation_rhs_other_gap: float
@@ -131,10 +133,11 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
 
     limit = limiting_fiedler_vector(g, p, lam)
     eps_d, limit_gap = separation_quantities(limit, p)
+    margin = eps_d - limit_gap
     eps = scale_optimal_distance(result.v_f, limit)
     lhs, rhs_other_gap = separation_quantities(result.v_f, p)
 
-    condition_iii = eps_d > 0.0
+    condition_iii = margin > 0.0
     condition_iv = eps < eps_d / 4.0
     separated = (
         connected
@@ -148,7 +151,7 @@ def check_identifiability(g: Graph, p: Partition) -> IdentifiabilityReport:
         leaders_nonadjacent=nonadjacent,
         lambda_f=lam,
         epsilon_d=eps_d,
-        epsilon_d_margin=eps_d - limit_gap,
+        epsilon_d_margin=margin,
         epsilon=eps,
         condition_iii_holds=condition_iii,
         condition_iv_holds=condition_iv,

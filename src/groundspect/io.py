@@ -1,13 +1,13 @@
 """File formats: graph/input/sequence JSON, trajectory and tempo CSV, manifests.
 
 Node labels are 1-based in every file to match the reporting convention.
-Parsing them into the 0-based internal indices happens here and only here;
-labels are written back by the writers here, by the to_json of
-LeaderEstimate, PipelineDiagnostics and ExternalInput, in ExternalInput's
-errors and in the CLI's messages.
+Parsing them into the 0-based internal indices happens here and only here
+(a graph file's errors name its labels); labels are written back by the
+writers here, by the to_json of LeaderEstimate, PipelineDiagnostics and
+ExternalInput, in ExternalInput's errors and in the CLI's messages.
 All writers are deterministic (sorted keys, fixed float formatting), so a
-rerun with the same resolved config reproduces files byte for byte within
-one numpy/BLAS build.
+rerun of the command line a manifest records reproduces files byte for
+byte within one numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import re
-from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dynamics import ExternalInput, Trajectory
 from .errors import GroundspectError, InputFormatError, as_int
-from .graphs import Graph, Partition, _pairs_graph, make_partition
+from .graphs import Graph, Partition, _pairs_graph, _partition
 from .sequences import GraphSequence, SequenceConfig
 from .tempo import _estimates
 
@@ -87,24 +86,11 @@ def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partitio
     try:
         n = as_int(payload["n"], "n")
         if n > _MAX_NODES:  # checked before anything n x n is allocated
-            raise InputFormatError(f"{where}: n = {n} exceeds the {_MAX_NODES}-node cap")
-        pairs = payload["edges"]
-        try:  # one scan of the endpoint types; only a non-int needs the as_int rule
-            plain = set(map(type, chain.from_iterable(pairs))) <= {int}
-        except TypeError:
-            plain = False
-        if not plain:
-            pairs = [(as_int(i), as_int(j)) for i, j in pairs]
-        edges = [(i - 1, j - 1) for i, j in pairs]
-        leaders = [as_int(i) - 1 for i in payload["leaders"]]
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{where}: malformed entry ({exc})") from exc
-    try:
-        g = _pairs_graph(n, edges, checked=True)
-        p = make_partition(n, leaders)
-    except (GroundspectError, ValueError) as exc:
+            raise ValueError(f"n = {n} exceeds the {_MAX_NODES}-node cap")
+        g = _pairs_graph(n, payload["edges"], first=1)
+        return g, _partition(n, payload["leaders"], first=1)
+    except (GroundspectError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
-    return g, p
 
 
 def load_graph(path: str | Path) -> tuple[Graph, Partition]:
@@ -304,24 +290,15 @@ def _g17_text(block: np.ndarray) -> bytes | None:
 
 # -- run manifests --------------------------------------------------------------------
 
-def write_manifest(
-    path: str | Path,
-    subcommand: str,
-    config: dict,
-    inputs: dict[str, str],
-    outputs: list[str],
-    rng_seed: int | None = None,
-) -> None:
-    """Record everything needed to reproduce a command's outputs bit-identically."""
+def write_manifest(path: str | Path, subcommand: str, args: dict, outputs: list) -> None:
+    """Record the command line that reproduces a command's outputs bit-identically."""
     save_json(
         path,
         {
             "subcommand": subcommand,
             "tool_version": __version__,
             "numpy_version": np.__version__,
-            "rng_seed": rng_seed,
-            "config": config,
-            "inputs": inputs,
-            "outputs": sorted(outputs),
+            "args": args,
+            "outputs": sorted(map(str, outputs)),
         },
     )

@@ -4,11 +4,13 @@ import concurrent.futures
 import faulthandler
 import gc
 import json
+import multiprocessing
 import os
 import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +54,25 @@ def run(*argv):
 @pytest.fixture()
 def pool_deadline(request):
     """Ends the test run with every thread's traceback if a pool test outlives
-    POOL_DEADLINE_S, so that a deadlocked pool fails the suite instead of hanging it."""
+    POOL_DEADLINE_S, so that a deadlocked pool fails the suite instead of hanging it.
+    It kills the pool's workers first: exiting skips the pool's shutdown, so a
+    deadlocked worker would otherwise outlive the run."""
     capture = request.config.pluginmanager.getplugin("capturemanager")
     with capture.global_and_fixture_disabled():  # the traceback goes to the real stderr
         stderr = os.dup(2)
-    faulthandler.dump_traceback_later(POOL_DEADLINE_S, exit=True, file=stderr)
+
+    def expire():
+        faulthandler.dump_traceback(file=stderr)
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
+        os._exit(1)
+
+    timer = threading.Timer(POOL_DEADLINE_S, expire)
+    timer.start()
     yield
-    faulthandler.cancel_dump_traceback_later()
+    timer.cancel()
+    timer.join()
     os.close(stderr)
 
 
@@ -97,7 +111,7 @@ class TestGen:
         assert config == io.sequence_config_from_dict(io.load_json(cfg))
         manifest = io.load_json(out / "sequence.manifest.json")
         assert manifest["subcommand"] == "gen"
-        assert manifest["rng_seed"] == 11
+        assert manifest["args"] == {"config": str(cfg), "outdir": str(out)}
 
     def test_same_seed_identical_files(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -490,10 +504,10 @@ class TestMisfittingJson:
         "graph, message",
         [
             ({"n": 3.9, "edges": [[1.5, 2], [2, 3]], "leaders": [True]}, "n must be an integer, got 3.9"),
-            ({"n": 3, "edges": [[1.5, 2], [2, 3]], "leaders": [1]}, "label must be an integer, got 1.5"),
-            ({"n": 3, "edges": [[1, 2], [2, 3]], "leaders": [True]}, "label must be an integer, got true"),
+            ({"n": 3, "edges": [[1.5, 2], [2, 3]], "leaders": [1]}, "edge (1.5, 2) must be an integer, got 1.5"),
+            ({"n": 3, "edges": [[1, 2], [2, 3]], "leaders": [True]}, "leader must be an integer, got true"),
             ({"n": "3", "edges": [[1, 2], [2, 3]], "leaders": [1]}, 'n must be an integer, got "3"'),
-            ({"n": 3, "edges": [[1, 2], [2, 2**70]], "leaders": [1]}, f"(1,{2**70 - 1}) outside"),
+            ({"n": 3, "edges": [[1, 2], [2, 2**70]], "leaders": [1]}, f"edge (2,{2**70}) outside [1,4)"),
             (ONE_NODE, "graph needs at least 2 nodes, got n=1"),
             (HUGE, "n = 100000 exceeds the 11585-node cap"),
         ],
@@ -664,26 +678,24 @@ def listing(outdir):
 class TestManifests:
     """Each subcommand's output file names and manifest records, pinned."""
 
+    @staticmethod
+    def record(subcommand, args, outputs):
+        return {
+            "subcommand": subcommand,
+            "tool_version": gs.__version__,
+            "args": args,
+            "outputs": [str(out) for out in outputs],
+        }
+
     def test_gen(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         io.save_json(cfg, {"leader_degrees": [2, 2], "initial_followers": 6, "steps": 3})
         out = tmp_path / "out"
         assert run("gen", cfg, "-o", out) == 0
         assert listing(out) == ["sequence.json", "sequence.manifest.json"]
-        assert manifest_of(out / "sequence.manifest.json") == {
-            "subcommand": "gen",
-            "tool_version": gs.__version__,
-            "rng_seed": 0,
-            "config": {
-                "leader_degrees": [2, 2],
-                "initial_followers": 6,
-                "steps": 3,
-                "growth": "densify_edges",
-                "rng_seed": 0,
-            },
-            "inputs": {"config": str(cfg)},
-            "outputs": [str(out / "sequence.json")],
-        }
+        assert manifest_of(out / "sequence.manifest.json") == self.record(
+            "gen", {"config": str(cfg), "outdir": str(out)}, [out / "sequence.json"]
+        )
 
     @pytest.mark.parametrize("subcommand", ["spectral", "check"])
     def test_spectral_and_check(self, tmp_path, dense12_file, subcommand):
@@ -693,34 +705,23 @@ class TestManifests:
             f"dense12.{subcommand}.json",
             f"dense12.{subcommand}.manifest.json",
         ]
-        assert manifest_of(out / f"dense12.{subcommand}.manifest.json") == {
-            "subcommand": subcommand,
-            "tool_version": gs.__version__,
-            "rng_seed": None,
-            "config": {},
-            "inputs": {"graph": str(dense12_file)},
-            "outputs": [str(out / f"dense12.{subcommand}.json")],
-        }
+        assert manifest_of(out / f"dense12.{subcommand}.manifest.json") == self.record(
+            subcommand,
+            {"graph": str(dense12_file), "outdir": str(out)},
+            [out / f"dense12.{subcommand}.json"],
+        )
 
     def test_simulate_exact_generated_inputs(self, tmp_path, k3_file):
         out = tmp_path / "out"
         assert run("simulate", k3_file, "--t-final", 2.0, "-o", out) == 0
         assert listing(out) == ["k3.simulate.manifest.json", "k3.traj.csv"]
-        assert manifest_of(out / "k3.simulate.manifest.json") == {
-            "subcommand": "simulate",
-            "tool_version": gs.__version__,
-            "rng_seed": 0,
-            "config": {
-                "dimension": 2,
-                "dt": 0.01,
-                "t_final": 2.0,
-                "record_every": 1,
-                "integrator": "exact",
-                "generated_inputs": True,
-            },
-            "inputs": {"graph": str(k3_file), "inputs": "(generated)"},
-            "outputs": [str(out / "k3.traj.csv")],
+        args = {
+            "graph": str(k3_file), "inputs": None, "dim": 2, "seed": 0, "dt": 0.01,
+            "t_final": 2.0, "record_every": 1, "outdir": str(out),
         }
+        assert manifest_of(out / "k3.simulate.manifest.json") == self.record(
+            "simulate", args, [out / "k3.traj.csv"]
+        )
 
     def test_simulate_file_inputs(self, tmp_path, k3_file):
         upath = tmp_path / "u.json"
@@ -730,21 +731,13 @@ class TestManifests:
                 "--seed", 3]
         assert run("simulate", k3_file, *argv, "-o", out) == 0
         assert listing(out) == ["k3.simulate.manifest.json", "k3.traj.csv"]
-        assert manifest_of(out / "k3.simulate.manifest.json") == {
-            "subcommand": "simulate",
-            "tool_version": gs.__version__,
-            "rng_seed": 3,
-            "config": {
-                "dimension": 1,
-                "dt": 0.05,
-                "t_final": 1.0,
-                "record_every": 7,
-                "integrator": "exact",
-                "generated_inputs": False,
-            },
-            "inputs": {"graph": str(k3_file), "inputs": str(upath)},
-            "outputs": [str(out / "k3.traj.csv")],
+        args = {
+            "graph": str(k3_file), "inputs": str(upath), "dim": 1, "seed": 3, "dt": 0.05,
+            "t_final": 1.0, "record_every": 7, "outdir": str(out),
         }
+        assert manifest_of(out / "k3.simulate.manifest.json") == self.record(
+            "simulate", args, [out / "k3.traj.csv"]
+        )
 
     @pytest.mark.parametrize("with_inputs", [False, True])
     def test_identify(self, tmp_path, dense12_file, with_inputs):
@@ -756,28 +749,58 @@ class TestManifests:
         names = ["dense12.leaders.json", "dense12.tempo.csv", "dense12.traj.csv"]
         assert listing(out) == sorted(names + ["dense12.identify.manifest.json"])
         payload = manifest_of(out / "dense12.identify.manifest.json")
-        assert set(payload) == {
-            "subcommand", "tool_version", "rng_seed", "config", "inputs", "outputs"
+        grid = {k: payload["args"][k] for k in ("t_final", "dt")}
+        args = {
+            "graph": str(dense12_file), "inputs": str(upath) if with_inputs else None, "dim": 2,
+            "seed": 0, "outdir": str(out), **grid,
         }
-        assert set(payload["config"]) == {
-            "dimension", "dt", "t_final", "record_every", "integrator", "generated_inputs",
-        }
-        assert payload["config"]["generated_inputs"] is not with_inputs
-        assert payload["inputs"] == {
-            "graph": str(dense12_file),
-            "inputs": str(upath) if with_inputs else "(generated)",
-        }
-        assert payload["outputs"] == [str(out / name) for name in names]
+        assert payload == self.record("identify", args, [out / name for name in names])
 
     def test_pipeline(self, tmp_path, dense12_file, k3_file):
         out = tmp_path / "out"
         assert run("pipeline", dense12_file, k3_file, "--seed", 2, "-o", out) == 0
         assert listing(out) == ["pipeline_summary.json", "pipeline_summary.manifest.json"]
-        assert manifest_of(out / "pipeline_summary.manifest.json") == {
-            "subcommand": "pipeline",
-            "tool_version": gs.__version__,
-            "rng_seed": 2,
-            "config": {"jobs": 1, "dim": 2},
-            "inputs": {"path0": str(dense12_file), "path1": str(k3_file)},
-            "outputs": [str(out / "pipeline_summary.json")],
+        args = {
+            "paths": [str(dense12_file), str(k3_file)], "dim": 2, "seed": 2, "jobs": 1,
+            "outdir": str(out),
         }
+        assert manifest_of(out / "pipeline_summary.manifest.json") == self.record(
+            "pipeline", args, [out / "pipeline_summary.json"]
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "{cfg}"],
+            ["spectral", "{graph}"],
+            ["check", "{graph}"],
+            ["simulate", "{graph}", "--dim", 3, "--seed", 4, "--dt", 0.02, "--t-final", 0.5,
+             "--record-every", 5],
+            ["identify", "{graph}", "--dim", 1, "--seed", 4, "--dt", 0.05, "--t-final", 6.0],
+            ["pipeline", "{graph}", "{graph}", "--dim", 1, "--seed", 4, "--jobs", 1],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_args_are_the_parsed_command_line(self, tmp_path, dense12_file, argv):
+        # a flag reaches the manifest as parsed, with no edit to the manifest code
+        cfg = tmp_path / "cfg.json"
+        io.save_json(cfg, {"leader_degrees": [2], "initial_followers": 5, "steps": 2})
+        out = tmp_path / "out"
+        argv = [str(a).format(cfg=cfg, graph=dense12_file) for a in argv] + ["-o", str(out)]
+        assert main(argv) == 0
+        parsed = vars(cli._build_parser().parse_args(argv))
+        del parsed["func"], parsed["subcommand"]
+        (manifest,) = out.glob("*.manifest.json")
+        assert io.load_json(manifest)["args"] == parsed
+
+    def test_identify_records_what_it_resolved(self, tmp_path, dense12_file, dense12):
+        # the default grid from the certified time, and the inputs file's dimension
+        upath = tmp_path / "u.json"
+        io.save_json(upath, {"dimension": 1, "u": {"1": [40.0], "2": [16.0]}})
+        assert run("identify", dense12_file, "--inputs", upath, "--dim", 3, "-o", tmp_path) == 0
+        args = io.load_json(tmp_path / "dense12.identify.manifest.json")["args"]
+        spectrum = gs.fiedler_pair(gs.grounded_laplacian(*dense12)).spectrum
+        t_meas, _ = gs.choose_measurement_time(spectrum)
+        assert (args["dim"], args["t_final"], args["dt"]) == (1, t_meas, t_meas / 512)
+        times, _, _ = read_trajectory_csv(tmp_path / "dense12.traj.csv")
+        assert len(times) == 513 and times[-1] == pytest.approx(t_meas)

@@ -16,6 +16,7 @@ from groundspect.errors import (
     EmptyLeaderSetError,
     GroundspectError,
     IndexOutOfRangeError,
+    InputFormatError,
     SelfLoopError,
 )
 
@@ -241,20 +242,21 @@ def test_adjacency_matches_edges(case):
     assert np.trace(a) == 0
 
 
-def reference_edges(n, edges):
-    """The per-edge validation loop that build_graph's whole-array pass replaced."""
+def reference_edges(n, edges, first=0):
+    """The per-edge validation loop that build_graph's whole-array pass replaced, on
+    nodes labelled first..first + n - 1; the edges it returns are 0-based."""
     seen = set()
     for pair in edges:
         i, j = int(pair[0]), int(pair[1])
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise IndexOutOfRangeError(f"edge ({i},{j}) outside [0,{n})")
+        if not (first <= i < first + n) or not (first <= j < first + n):
+            raise IndexOutOfRangeError(f"edge ({i},{j}) outside [{first},{first + n})")
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
         e = (i, j) if i < j else (j, i)
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge {e}")
         seen.add(e)
-    return tuple(sorted(seen))
+    return tuple(sorted((i - first, j - first) for i, j in seen))
 
 
 @st.composite
@@ -321,3 +323,22 @@ def test_build_graph_matches_per_edge_reference(case):
     assert gs.min_follower_degree(g, p) == min(len(nbrs[j] - leaders) for j in p.followers)
     assert gs.leaders_nonadjacent(g, p) == all(nbrs[j].isdisjoint(leaders) for j in leaders)
     assert [g.degree(i) for i in range(n)] == [len(nb) for nb in nbrs]
+
+
+@settings(max_examples=200)
+@given(raw_edge_lists())
+def test_graph_file_errors_name_file_labels(case):
+    # a graph file's labels are 1-based, in its messages as in the file
+    n, pairs, leaders = case
+    edges = [[i + 1, j + 1] for i, j in pairs]
+    payload = {"n": n, "edges": edges, "leaders": [i + 1 for i in leaders]}
+    try:
+        expected = reference_edges(n, edges, first=1)
+    except GroundspectError as exc:
+        with pytest.raises(InputFormatError) as info:
+            io.graph_from_dict(payload)
+        assert type(info.value.__cause__) is type(exc)
+        assert str(info.value) == f"graph: {exc}"
+        return
+    g, p = io.graph_from_dict(payload)
+    assert g.edges == expected and p.leaders == tuple(sorted(leaders))

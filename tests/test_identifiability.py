@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import groundspect as gs
@@ -272,11 +272,13 @@ class TestSeparatedImpliesCut:
         certified = 0
         for g, p in mixed_degree_instances(600, seed=0):
             rep = gs.check_identifiability(g, p)
+            assert rep.condition_iii_holds == (rep.epsilon_d_margin > 0.0)
+            if abs(rep.epsilon_d_margin) > 1e-9:
+                degrees = [g.degree(j) for j in p.leaders]
+                assert rep.condition_iii_holds == margin_positive_by_degrees(degrees, rep.lambda_f)
             if rep.separated:
                 certified += 1
                 assert gs.identify_leaders(rep.spectral.v_f).leader_set == set(p.leaders)
-                # the limit side agrees although epsilon_d_margin is not in the verdict
-                assert rep.epsilon_d_margin > 0.0
         assert certified > 100  # 188 on x86-64 with OpenBLAS
 
     def test_two_degree_groups_declined(self):
@@ -289,6 +291,29 @@ class TestSeparatedImpliesCut:
         assert rep.condition_iv_holds
         assert rep.separation_lhs > 0.0
         assert rep.separation_rhs_other_gap > rep.separation_lhs
-        assert rep.epsilon_d_margin < 0.0
+        assert rep.epsilon_d_margin < 0.0 < rep.epsilon_d
+        assert not rep.condition_iii_holds
         assert not rep.separated
         assert gs.identify_leaders(rep.spectral.v_f).leader_set == {0, 1}
+
+
+def margin_positive_by_degrees(degrees, lambda_f):
+    """Condition (iii) from the leader degrees and lambda_F alone: with c = 1 - lambda_F,
+    the gap c(d' - d)/((d + c)(d' + c)) between the limit entries of consecutive distinct
+    degrees d < d' is below the cut's gap c/(d_max + c)."""
+    c = 1.0 - lambda_f
+    steps = sorted(set(degrees))
+    return all((b - a) * (steps[-1] + c) < (a + c) * (b + c) for a, b in zip(steps, steps[1:]))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(1, 15), min_size=1, max_size=4),
+    st.floats(min_value=1e-4, max_value=0.999),
+)
+def test_closed_form_predicts_the_margin_sign(degrees, lambda_f):
+    g, p = gs.dense_follower_instance(max(degrees), tuple(degrees))
+    eps_d, limit_gap = gs.separation_quantities(gs.limiting_fiedler_vector(g, p, lambda_f), p)
+    margin = eps_d - limit_gap
+    assume(abs(margin) > 1e-9)  # the closed form is exact; the profile's floats are not
+    assert (margin > 0.0) == margin_positive_by_degrees(degrees, lambda_f)

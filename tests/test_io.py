@@ -4,6 +4,7 @@ import csv
 import io as stdio
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -69,12 +70,28 @@ class TestGraphFiles:
         with pytest.raises(InputFormatError, match="n = 4 exceeds the 3-node cap"):
             io.graph_from_dict({"n": 4, "edges": path, "leaders": [1]})
 
+    @pytest.mark.parametrize(
+        "edges, leaders, message",
+        [
+            ([[3, 3]], [1], "self-loop at node 3"),
+            ([[1, 2], [2, 1]], [1], "duplicate edge (1, 2)"),
+            ([[0, 3]], [1], "edge (0,3) outside [1,4)"),
+            ([[1, 2]], [4], "leader 4 outside [1,4)"),
+        ],
+        ids=["self-loop", "duplicate", "edge-range", "leader-range"],
+    )
+    def test_errors_name_file_labels(self, edges, leaders, message):
+        # labels are 1-based in the messages as in the file
+        with pytest.raises(InputFormatError) as err:
+            io.graph_from_dict({"n": 3, "edges": edges, "leaders": leaders})
+        assert str(err.value) == f"graph: {message}"
+
     @pytest.mark.parametrize("endpoint, shown", [(2.5, "2.5"), (True, "true"), ("3", '"3"')])
     def test_non_integer_endpoint_message(self, endpoint, shown):
         payload = {"n": 3, "edges": [[1, 2], [2, endpoint]], "leaders": [1]}
         with pytest.raises(InputFormatError) as err:
             io.graph_from_dict(payload)
-        message = f"graph: malformed entry (node label must be an integer, got {shown})"
+        message = f"graph: endpoint of edge {(2, endpoint)} must be an integer, got {shown}"
         assert str(err.value) == message
 
 
@@ -428,13 +445,14 @@ class TestCsvKernel:
 class TestManifest:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = {"config": "c.json", "outdir": "."}
         for path in (a, b):
-            io.write_manifest(
-                path, "gen", {"steps": 3}, {"config": "c.json"}, ["out.json"], rng_seed=7
-            )
+            io.write_manifest(path, "gen", args, [Path("z.json"), "out.json"])
         assert a.read_bytes() == b.read_bytes()
-        payload = io.load_json(a)
-        assert payload["subcommand"] == "gen"
-        assert payload["tool_version"] == gs.__version__
-        assert payload["numpy_version"] == np.__version__
-        assert payload["rng_seed"] == 7
+        assert io.load_json(a) == {
+            "subcommand": "gen",
+            "tool_version": gs.__version__,
+            "numpy_version": np.__version__,
+            "args": args,
+            "outputs": ["out.json", "z.json"],
+        }
