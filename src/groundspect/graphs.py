@@ -10,6 +10,7 @@ asserted without tolerance.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -69,7 +70,7 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 def _pairs_graph(n: int, edges: Iterable[Sequence[int]], first: int) -> Graph:
     """build_graph for an int n, with the nodes labelled first..first + n - 1 in the
-    edges and in the errors (a graph file labels them from 1)."""
+    edges and in the errors (a graph file labels them from 1; its errors quote JSON)."""
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes, got n={n}")
     edges = list(edges)
@@ -78,7 +79,7 @@ def _pairs_graph(n: int, edges: Iterable[Sequence[int]], first: int) -> Graph:
     if not set(map(type, chain.from_iterable(edges))) <= {int}:  # else each by the as_int rule
         for edge in edges:
             for x in edge:
-                as_int(x, f"endpoint of edge {tuple(edge)}")
+                as_int(x, f"endpoint of edge {json.dumps(edge) if first else tuple(edge)}")
     try:
         flat = np.fromiter(chain.from_iterable(edges), np.int64)
     except OverflowError:  # beyond int64 is out of range, as -1 is

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import re
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -48,9 +49,45 @@ def load_json(path: str | Path) -> Any:
 
 
 def save_json(path: str | Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write json.dump(payload, indent=2, sort_keys=True) text and a newline."""
+    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
+
+
+# json's text of each scalar type; it spells the non-finite floats NaN, Infinity, -Infinity.
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    bool: ["false", "true"].__getitem__,
+}
+
+
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), each line after the first led by `indent`
+    (a newline and the indentation). json writes all but non-empty lists and str-keyed dicts."""
+    inner = indent + "  "
+    member = functools.partial(_json_text, indent=inner)
+    if type(value) in (list, tuple) and value:
+        if (table := _int_table(value, indent)) is not None:
+            return table
+        ends, items = "[]", [_SCALARS.get(type(v), member)(v) for v in value]
+    elif type(value) is dict and value and set(map(type, value)) == {str}:
+        ends, pairs = "{}", sorted(value.items())
+        items = [f"{_SCALARS[str](k)}: {_SCALARS.get(type(v), member)(v)}" for k, v in pairs]
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
+def _int_table(rows: list | tuple, indent: str) -> str | None:
+    """The json text of equal-length lists of ints (a graph's edges) from one `%` over a
+    repeated row template, or None for any other list."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) > 1:
+        return None
+    cells, inner = tuple(chain.from_iterable(rows)), indent + "  "
+    if not set(map(type, cells)) <= {int}:
+        return None
+    row = _json_text([0] * len(rows[0]), inner).replace("0", "%d")  # the text of a row of 0s
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + indent + "]") % cells
 
 
 def _json_object(payload: Any, where: str, *keys: str) -> dict:
@@ -271,13 +308,13 @@ def _g17_text(block: np.ndarray) -> bytes | None:
     d += ((rem > half) | (rem == half) & (d & one).astype(bool)).astype(u64)
     d[zero], e[zero] = 0, 0
     w = np.empty((5, len(x)), dtype=np.intp)  # the lead digit, then four 4-digit words
-    top, low = np.divmod(d, u64(10**8))
-    w[0], top = np.divmod(top, u64(10**8))
-    w[1], w[2] = np.divmod(top, u64(10**4))
-    w[3], w[4] = np.divmod(low, u64(10**4))
-    t, nil = trailing[w[1:]], w[1:] == 0
+    for k in range(4, 0, -1):  # q = d // b and d - q * b: np.divmod is slower in uint64
+        q = d // u64(10**4)
+        w[k], d = d - q * u64(10**4), q
+    w[0] = d
+    t, nil = np.take(trailing, w[1:]), w[1:] == 0
     z = 16 - (t[3] + nil[3] * (t[2] + nil[2] * (t[1] + nil[1] * t[0])))  # last non-zero digit
-    lay = layout[:, (e + 11) * 17 + z]
+    lay = np.take(layout, (e + 11) * 17 + z, axis=1)
     w += lay[:5]
     out = np.zeros((len(x), _SLOT), dtype=np.uint8)
     out[:, 8:41:2] = words[w].T.copy().view(np.uint8)[:, 3:]
@@ -292,13 +329,5 @@ def _g17_text(block: np.ndarray) -> bytes | None:
 
 def write_manifest(path: str | Path, subcommand: str, args: dict, outputs: list) -> None:
     """Record the command line that reproduces a command's outputs bit-identically."""
-    save_json(
-        path,
-        {
-            "subcommand": subcommand,
-            "tool_version": __version__,
-            "numpy_version": np.__version__,
-            "args": args,
-            "outputs": sorted(map(str, outputs)),
-        },
-    )
+    record = {"subcommand": subcommand, "args": args, "outputs": sorted(map(str, outputs))}
+    save_json(path, record | {"tool_version": __version__, "numpy_version": np.__version__})

@@ -504,7 +504,7 @@ class TestMisfittingJson:
         "graph, message",
         [
             ({"n": 3.9, "edges": [[1.5, 2], [2, 3]], "leaders": [True]}, "n must be an integer, got 3.9"),
-            ({"n": 3, "edges": [[1.5, 2], [2, 3]], "leaders": [1]}, "edge (1.5, 2) must be an integer, got 1.5"),
+            ({"n": 3, "edges": [[1.5, 2], [2, 3]], "leaders": [1]}, "edge [1.5, 2] must be an integer, got 1.5"),
             ({"n": 3, "edges": [[1, 2], [2, 3]], "leaders": [True]}, "leader must be an integer, got true"),
             ({"n": "3", "edges": [[1, 2], [2, 3]], "leaders": [1]}, 'n must be an integer, got "3"'),
             ({"n": 3, "edges": [[1, 2], [2, 2**70]], "leaders": [1]}, f"edge (2,{2**70}) outside [1,4)"),
@@ -520,6 +520,14 @@ class TestMisfittingJson:
         path = tmp_path / "g.json"
         io.save_json(path, graph)
         assert run("check", path, "-o", tmp_path) == 2
+        assert message in self.single_error_line(capsys)
+
+    @pytest.mark.parametrize("endpoint, shown", [(True, "true"), ("3", '"3"'), (2.5, "2.5")])
+    def test_endpoint_error_quotes_the_edge_as_written(self, tmp_path, capsys, endpoint, shown):
+        path = tmp_path / "g.json"
+        io.save_json(path, {"n": 3, "edges": [[1, endpoint]], "leaders": [1]})
+        assert run("check", path, "-o", tmp_path) == 2
+        message = f"endpoint of edge [1, {shown}] must be an integer, got {shown}"
         assert message in self.single_error_line(capsys)
 
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """File formats: 1-based labels, schema validation, CSV round trips."""
 
 import csv
+import hashlib
 import io as stdio
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -91,7 +93,7 @@ class TestGraphFiles:
         payload = {"n": 3, "edges": [[1, 2], [2, endpoint]], "leaders": [1]}
         with pytest.raises(InputFormatError) as err:
             io.graph_from_dict(payload)
-        message = f"graph: endpoint of edge {(2, endpoint)} must be an integer, got {shown}"
+        message = f"graph: endpoint of edge [2, {shown}] must be an integer, got {shown}"
         assert str(err.value) == message
 
 
@@ -440,6 +442,79 @@ class TestCsvKernel:
             io.write_trajectory_csv(path, traj)
         assert results[0] is not None and results[-1] is None  # early blocks by the kernel
         assert path.read_bytes().split(b"\r\n", 1)[1] == g17(table)
+
+
+# Recursive JSON values: every scalar kind json writes (numpy.float64 is a float), text
+# keys, and int tables that are ragged, hold bools or have empty rows, at any depth.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.floats().map(np.float64) | st.text() | st.sampled_from(["é\u2028😀", '\n"\\\x00'])
+)
+INT_TABLES = st.integers(0, 3).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(), min_size=k, max_size=k) | st.tuples(*[st.integers()] * k)
+    )
+) | st.lists(st.lists(st.integers() | st.booleans()))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | INT_TABLES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+# sha256 of the files json.dump wrote before io formatted JSON itself
+GRAPH_DIGEST = "ff8147740ae3ec0840deb9057d9cc143fb4c8aedef99851f4ee03f5c3b6e49db"
+SEQUENCE_DIGEST = "30bdc6648768129b626cae64c742e8705886d0220c54fd5ac855387b40255c9a"
+
+
+class TestJsonWriter:
+    """io._json_text writes json.dumps(indent=2, sort_keys=True) text itself, and a
+    table of int rows with one `%`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_VALUES)
+    def test_text_equals_json(self, value):
+        assert io._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(3), {"a": [np.int64(1)]}, [[1, 2], [3, np.int64(4)]], {1, 2}, b"x", object(),
+         [np.bool_(True)], {(1, 2): 3}],
+        ids=["int64", "nested-int64", "int64-in-table", "set", "bytes", "object", "bool_",
+             "tuple-key"],
+    )
+    def test_unserializable_values_raise_as_json_does(self, tmp_path, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            io.save_json(tmp_path / "x.json", {"value": value})
+
+    def test_numpy_int_message_is_json_s(self):
+        with pytest.raises(TypeError, match="Object of type int64 is not JSON serializable"):
+            io._json_text({"n": np.int64(3)})
+
+    def test_files_match_pinned_digests(self, tmp_path):
+        io.save_graph(tmp_path / "g.json", *gs.dense_follower_instance(60, (2, 3, 4)))
+        cfg = gs.SequenceConfig((2, 3, 2), 60, 24, "densify_edges", 5)
+        io.save_sequence(tmp_path / "s.json", gs.generate_sequence(cfg))
+        files = [tmp_path / "g.json", tmp_path / "s.json"]
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in files]
+        assert digests == [GRAPH_DIGEST, SEQUENCE_DIGEST]
+
+    def test_edge_table_takes_the_one_format_path(self, tmp_path):
+        g, p = gs.dense_follower_instance(60, (2, 3, 4))
+        table, results = io._int_table, []
+
+        def recorded(rows, indent):
+            results.append((len(rows), table(rows, indent)))
+            return results[-1][1]
+
+        path = tmp_path / "g.json"
+        with mock.patch.object(io, "_int_table", recorded):
+            io.save_graph(path, g, p)
+        tabled = {n for n, text in results if text is not None}
+        assert tabled == {len(g.edges)}  # the edges; not the leaders, a list of ints
+        text = json.dumps(io.graph_to_dict(g, p), indent=2, sort_keys=True)
+        assert path.read_text() == text + "\n"
 
 
 class TestManifest:
