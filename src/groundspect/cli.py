@@ -198,10 +198,12 @@ def _cmd_pipeline(args: argparse.Namespace) -> tuple[int, list[Path]]:
     ]
     workers = min(args.jobs, len(jobs))  # a fork-started pool forks all of them at once
     if workers > 1:
+        import multiprocessing  # as the pool does: no other path pays for its import
         chunk = -(-len(jobs) // (4 * workers))  # about four chunks per worker
         gc.freeze()  # the workers' collections then leave the parent's pages shared
-        try:  # the workers fork with one BLAS thread and numpy.random loaded
-            with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        fork = multiprocessing.get_context("fork")  # also where 3.14 defaults to forkserver
+        try:  # the workers fork with one BLAS thread, numpy.random loaded and the frozen heap
+            with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(workers, fork) as pool:
                 rows = list(pool.map(_pipeline_worker, jobs, chunksize=chunk))
         finally:
             gc.unfreeze()

@@ -62,6 +62,13 @@ class InfeasibleConfigError(GroundspectError):
     the follower count)."""
 
 
+class UncertifiableDegreesWarning(UserWarning):
+    """A sequence config's leader degrees fail the separation certificate at every
+    follower density: consecutive distinct degrees d < d' have
+    (d' - d)(d_max + 1) >= (d + 1)(d' + 1), the closed form of condition (iii)
+    where it is most permissive (lambda_F -> 0)."""
+
+
 # -- simulation ----------------------------------------------------------------
 
 class UnstableStepError(GroundspectError):

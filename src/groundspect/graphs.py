@@ -2,10 +2,10 @@
 
 Node indices are 0-based and dense (0..n-1). All edge weights are 1. A Graph
 holds its edges once, as a read-only boolean adjacency matrix that every
-graph-level quantity reads; the sorted tuple of canonical pairs that files are
-written from is derived from it on first read. Matrices built from it are
-dense float arrays with exact integer entries, so row-sum identities can be
-asserted without tolerance.
+graph-level quantity reads, and that graph files are written from; the sorted
+tuple of canonical pairs that equality and hashing compare is derived from it
+on first read. Matrices built from it are dense float arrays with exact
+integer entries, so row-sum identities can be asserted without tolerance.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ class Graph:
     """Simple undirected graph on the nodes 0..n-1.
 
     ``adjacency`` is the read-only n x n boolean matrix that every graph-level
-    quantity reads; ``edges``, the sorted tuple of canonical (i < j) pairs, is
-    built from it on first read and kept. Equality and hashing use (n, edges).
+    quantity, and the graph file writer, reads. ``edges``, the sorted tuple of
+    canonical (i < j) pairs, serves only equality and hashing, which use
+    (n, edges); it is built from the adjacency on first read and kept.
     """
 
     n: int

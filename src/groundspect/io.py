@@ -7,18 +7,22 @@ writers here, by the to_json of LeaderEstimate, PipelineDiagnostics and
 ExternalInput, in ExternalInput's errors and in the CLI's messages.
 All writers are deterministic (sorted keys, fixed float formatting), so a
 rerun of the command line a manifest records reproduces files byte for
-byte within one numpy/BLAS build.
+byte within one numpy/BLAS build. Graph and sequence files are read and
+written with the cyclic collector paused: their JSON trees hold no cycles, but
+a dense graph's ~n²/2 edge lists would set off collections that rescan the heap.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import json
 import math
 import re
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -36,6 +40,18 @@ _BLOCK_CELLS = 8192  # CSV rows are formatted about this many cells at a time
 _SLOT = 48  # bytes per cell in _g17_text
 # The most nodes a graph file may have: their float64 grounded Laplacian fits in 1 GiB.
 _MAX_NODES = math.isqrt(2**30 // 8)
+
+
+@contextlib.contextmanager
+def _no_gc() -> Iterator[None]:
+    """Run the block with the cyclic collector off, and leave it on after only if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_json(path: str | Path) -> Any:
@@ -113,7 +129,7 @@ def _label_int(label: Any) -> int:
 def graph_to_dict(g: Graph, p: Partition) -> dict:
     return {
         "n": g.n,
-        "edges": [[i + 1, j + 1] for i, j in g.edges],
+        "edges": (np.argwhere(np.triu(g.adjacency)) + 1).tolist(),  # sorted (i < j) pairs
         "leaders": [i + 1 for i in p.leaders],
     }
 
@@ -131,11 +147,13 @@ def graph_from_dict(payload: Any, where: str = "graph") -> tuple[Graph, Partitio
 
 
 def load_graph(path: str | Path) -> tuple[Graph, Partition]:
-    return graph_from_dict(load_json(path), where=str(path))
+    with _no_gc():
+        return graph_from_dict(load_json(path), where=str(path))
 
 
 def save_graph(path: str | Path, g: Graph, p: Partition) -> None:
-    save_json(path, graph_to_dict(g, p))
+    with _no_gc():
+        save_json(path, graph_to_dict(g, p))
 
 
 # -- external inputs --------------------------------------------------------------
@@ -185,7 +203,8 @@ def sequence_config_from_dict(payload: Any, where: str = "config") -> SequenceCo
 
 
 def save_sequence(path: str | Path, seq: GraphSequence) -> None:
-    save_json(path, sequence_to_dict(seq))
+    with _no_gc():
+        save_json(path, sequence_to_dict(seq))
 
 
 def load_instances(path: str | Path) -> list[tuple[str, Any]]:

@@ -13,11 +13,12 @@ so identical configs produce bit-identical families on any platform.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConfigError, as_int
+from .errors import InfeasibleConfigError, UncertifiableDegreesWarning, as_int
 from .graphs import Graph, Partition, _graph, make_partition
 
 log = logging.getLogger(__name__)
@@ -33,7 +34,8 @@ class SequenceConfig:
     steps is the total number of elements; growth="add_nodes_and_edges"
     inserts one new follower per element before densifying. The counts and
     the seed must be integers (numpy's included, stored as int); a bool or a
-    fraction raises ValueError instead of being truncated.
+    fraction raises ValueError instead of being truncated. Leader degrees that
+    no density can certify warn with UncertifiableDegreesWarning.
     """
 
     leader_degrees: tuple[int, ...]
@@ -57,6 +59,15 @@ class SequenceConfig:
             raise ValueError("rng_seed must be >= 0")
         if self.growth not in GROWTH_MODES:
             raise ValueError(f"growth must be one of {GROWTH_MODES}")
+        levels = sorted(set(self.leader_degrees))
+        for d, d2 in zip(levels, levels[1:]):
+            if (d2 - d) * (levels[-1] + 1) >= (d + 1) * (d2 + 1):
+                warnings.warn(
+                    f"leader degrees {list(self.leader_degrees)} can never be certified: at every "
+                    f"density the limit gap between degrees {d} and {d2} is at least the cut's",
+                    UncertifiableDegreesWarning, stacklevel=3,
+                )
+                break
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -327,15 +327,15 @@ class TestPipeline:
         sizes = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+            def __init__(self, max_workers, mp_context):
+                sizes.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("pipeline", dense12_file, k3_file, "-o", a, "--jobs", 1) == 0
         assert run("pipeline", dense12_file, k3_file, "-o", b, "--jobs", 3) == 0
-        assert sizes == [2]
+        assert sizes == [(2, "fork")]  # fork on every Python, 3.14's forkserver default too
         assert (a / "pipeline_summary.json").read_bytes() == (
             b / "pipeline_summary.json"
         ).read_bytes()
@@ -343,7 +343,7 @@ class TestPipeline:
         io.save_json(empty, {"graphs": []})
         assert run("pipeline", empty, "-o", tmp_path / "c", "--jobs", 2) == 0
         assert io.load_json(tmp_path / "c" / "pipeline_summary.json") == {"instances": []}
-        assert sizes == [2]
+        assert sizes == [(2, "fork")]
 
     @pytest.mark.parametrize("run_fails", [False, True], ids=["identified", "run-fails"])
     def test_row_is_check_and_identify_records(

@@ -1,8 +1,10 @@
 """File formats: 1-based labels, schema validation, CSV round trips."""
 
 import csv
+import gc
 import hashlib
 import io as stdio
+import itertools
 import json
 import math
 import tracemalloc
@@ -95,6 +97,75 @@ class TestGraphFiles:
             io.graph_from_dict(payload)
         message = f"graph: endpoint of edge [2, {shown}] must be an integer, got {shown}"
         assert str(err.value) == message
+
+
+# Random simple graphs on 2-12 nodes: any subset of the node pairs, in any order.
+GRAPHS = st.integers(2, 12).flatmap(
+    lambda n: st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True).map(
+        lambda pairs: gs.build_graph(n, pairs)
+    )
+)
+
+
+class TestCollectorPause:
+    """load_graph, save_graph and save_sequence run with the cyclic collector off, and
+    hand the caller back the collector state it had."""
+
+    @pytest.fixture
+    def calls(self, tmp_path):
+        g, p = gs.dense_follower_instance(197, (2, 3, 4))
+        seq = gs.generate_sequence(gs.SequenceConfig((2, 3, 2), 60, 24, "densify_edges", 5))
+        graph_file, dup_file = tmp_path / "g.json", tmp_path / "dup.json"
+        io.save_json(dup_file, {"n": 3, "edges": [[1, 2], [2, 1]], "leaders": [1]})
+
+        def load_duplicate():
+            with pytest.raises(InputFormatError, match="duplicate edge"):
+                io.load_graph(dup_file)
+
+        return {
+            "save_graph": lambda: io.save_graph(graph_file, g, p),
+            "load_graph": lambda: io.load_graph(graph_file),
+            "save_sequence": lambda: io.save_sequence(tmp_path / "s.json", seq),
+            "load_graph-duplicate": load_duplicate,
+        }
+
+    def test_no_collection_starts(self, calls):
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            for name, call in calls.items():
+                gc.collect()  # the young count starts from zero; its own start is not counted
+                starts.clear()
+                call()
+                assert starts == [], name
+        finally:
+            gc.callbacks.remove(count)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, calls, enabled):
+        try:
+            for name, call in calls.items():
+                (gc.enable if enabled else gc.disable)()
+                call()
+                assert gc.isenabled() is enabled, name
+        finally:
+            gc.enable()
+
+    @settings(max_examples=60)
+    @given(GRAPHS)
+    def test_edges_are_written_from_the_adjacency(self, g):
+        edges = io.graph_to_dict(g, gs.make_partition(g.n, [0]))["edges"]
+        assert edges == [[i + 1, j + 1] for i, j in g.edges]
+
+    def test_save_graph_builds_no_edge_tuple(self, tmp_path):
+        g, p = gs.dense_follower_instance(60, (2, 3, 4))
+        io.save_graph(tmp_path / "g.json", g, p)
+        assert "edges" not in vars(g)
 
 
 class TestInputFiles:
